@@ -74,9 +74,9 @@ printFigure3()
             policy::specSupportsWays(spec, kGeom.ways))
             batchSpecs.push_back(spec);
 
-    // One lockstep pass per workload: every policy lane shares the
-    // workload's single decode (eval/multi_kernel.hh) instead of one
-    // full simulateTrace pass per (policy, workload) cell.
+    // One simulatePoliciesBatch call per workload
+    // (eval/multi_kernel.hh): the policies fan out over the pool and
+    // specs sharing a compiled table are simulated once.
     std::vector<std::vector<double>> ratioOfSpec(batchSpecs.size());
     for (const auto& w : suite) {
         const auto stats =

@@ -100,8 +100,7 @@ printFigure4()
     table.print(std::cout);
 
     // Versioned sweep record: one row per grid cell, so the perf
-    // trajectory covers the workload the lockstep batch kernel
-    // accelerates.
+    // trajectory covers the batched sweep grid.
     benchjson::Writer json(
         "fig4", "miss ratio vs cache size sweep (batched grid)");
     json.field("seed", kSweepSeed);

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench_json.hh"
+#include "recap/cache/cache.hh"
 #include "recap/common/table.hh"
 #include "recap/eval/kernel.hh"
 #include "recap/policy/compiled.hh"
@@ -56,6 +57,16 @@ timeBestOf(Fn&& fn)
         best = std::min(best, elapsed.count());
     }
     return best;
+}
+
+/** The interpreted reference: a cache::Cache access loop. */
+cache::LevelStats
+simulateInterpreted(const std::string& spec, const trace::Trace& t)
+{
+    cache::Cache c(kGeom, spec, "eval", 1);
+    for (const cache::Addr a : t)
+        c.access(a);
+    return c.stats();
 }
 
 std::string
@@ -99,13 +110,8 @@ runComparison()
         const auto compiled =
             policy::compiledTableFor(spec, kGeom.ways, {});
 
-        eval::KernelOptions interpOpts;
-        interpOpts.forceInterpreted = true;
-        const double interpSecs = timeBestOf([&] {
-            return eval::simulateTraceKernel(kGeom, spec, t,
-                                             interpOpts)
-                .misses;
-        });
+        const double interpSecs = timeBestOf(
+            [&] { return simulateInterpreted(spec, t).misses; });
         const double interpRate = kAccesses / interpSecs;
 
         if (!compiled) {
@@ -127,8 +133,7 @@ runComparison()
 
         // The whole point is bit-exactness: diff the statistics here
         // too, not only in the unit tests.
-        const auto a = eval::simulateTraceKernel(kGeom, spec, t,
-                                                 interpOpts);
+        const auto a = simulateInterpreted(spec, t);
         const auto b = eval::simulateCompiled(kGeom, *compiled, t);
         if (a.hits != b.hits || a.misses != b.misses ||
             a.evictions != b.evictions) {
@@ -196,11 +201,8 @@ void
 BM_KernelInterpreted(benchmark::State& state)
 {
     const auto t = trace::zipf(128 * 1024, kAccesses, 0.9, 1);
-    eval::KernelOptions opts;
-    opts.forceInterpreted = true;
     for (auto unused : state) {
-        benchmark::DoNotOptimize(
-            eval::simulateTraceKernel(kGeom, "plru", t, opts).misses);
+        benchmark::DoNotOptimize(simulateInterpreted("plru", t).misses);
         (void)unused;
     }
     state.SetItemsProcessed(

@@ -193,12 +193,10 @@ simulateTraceKernel(const cache::Geometry& geom,
                     const std::string& policySpec,
                     const trace::Trace& t, const KernelOptions& opts)
 {
-    if (!opts.forceInterpreted) {
-        if (const policy::CompiledTablePtr table =
-                policy::compiledTableFor(policySpec, geom.ways,
-                                         opts.budget)) {
-            return simulateCompiled(geom, *table, t);
-        }
+    if (const policy::CompiledTablePtr table =
+            policy::compiledTableFor(policySpec, geom.ways,
+                                     opts.budget)) {
+        return simulateCompiled(geom, *table, t);
     }
     return simulateInterpreted(geom, policySpec, t, opts.seed);
 }
@@ -210,10 +208,7 @@ simulateTracesBatch(const cache::Geometry& geom,
                     const KernelOptions& opts)
 {
     const policy::CompiledTablePtr table =
-        opts.forceInterpreted
-            ? nullptr
-            : policy::compiledTableFor(policySpec, geom.ways,
-                                       opts.budget);
+        policy::compiledTableFor(policySpec, geom.ways, opts.budget);
 
     std::vector<cache::LevelStats> results(traces.size());
     parallelFor(traces.size(), opts.numThreads, [&](std::size_t i) {

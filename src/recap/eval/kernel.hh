@@ -47,12 +47,6 @@ struct KernelOptions
 
     /** State budget for policy compilation. */
     policy::CompileBudget budget;
-
-    /**
-     * Force the interpreted cache::Cache path (used by differential
-     * tests and the interpreted side of bench_kernel).
-     */
-    bool forceInterpreted = false;
 };
 
 /** Final state of one set, for differential tests. */
@@ -78,8 +72,8 @@ simulateCompiled(const cache::Geometry& geom,
 
 /**
  * simulateTrace() with explicit kernel knobs: compiled fast path when
- * the policy fits the budget, interpreted cache::Cache otherwise (or
- * when forced). Results are identical either way.
+ * the policy fits the budget, interpreted cache::Cache otherwise.
+ * Results are identical either way.
  */
 cache::LevelStats
 simulateTraceKernel(const cache::Geometry& geom,

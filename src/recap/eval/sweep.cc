@@ -38,13 +38,12 @@ makeCell(const CellJob& job, const cache::LevelStats& stats)
 /**
  * Measures every job into its own cell slot. Policy cells sharing a
  * (geometry, trace) pair — every row of one sweep column — run as one
- * multi-policy lockstep pass (eval/multi_kernel.hh): the trace is
- * decoded once and the compiled rows step in lane groups, instead of
- * one full simulateTrace per cell. Cell i keeps the stream
- * deriveTaskSeed(opts.seed, i) whichever lane runs it, so the grid
- * stays the same pure function of (jobs, opts.seed) as the per-cell
- * path, regardless of opts.numThreads. OPT cells are not policy
- * automata and keep the per-cell path.
+ * simulatePoliciesBatch call (eval/multi_kernel.hh), which simulates
+ * each distinct compiled table once. Cell i keeps the stream
+ * deriveTaskSeed(opts.seed, i) as its lane seed, so the grid stays
+ * the same pure function of (jobs, opts.seed) as the per-cell path,
+ * regardless of opts.numThreads. OPT cells are not policy automata
+ * and keep the per-cell path.
  */
 std::vector<SweepCell>
 measureAll(const std::vector<CellJob>& jobs, const SweepOptions& opts)

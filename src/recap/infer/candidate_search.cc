@@ -6,9 +6,7 @@
 #include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
 #include "recap/common/rng.hh"
-#include "recap/eval/multi_kernel.hh"
 #include "recap/infer/equivalence.hh"
-#include "recap/policy/compiled.hh"
 #include "recap/policy/factory.hh"
 #include "recap/policy/qlru.hh"
 #include "recap/policy/set_model.hh"
@@ -107,68 +105,44 @@ CandidateSearch::run()
     {
         std::string spec;
         policy::PolicyPtr prototype;
-        /** Compiled once at library construction — not per round. */
-        policy::CompiledTablePtr table;
     };
 
     std::vector<Candidate> alive;
     for (const auto& spec : specs_) {
         if (!policy::specSupportsWays(spec, k))
             continue;
-        policy::CompiledTablePtr table;
-        if (cfg_.useLaneKernel)
-            table = policy::compiledTableFor(spec, k);
-        alive.push_back(
-            {spec, policy::makePolicy(spec, k), std::move(table)});
+        alive.push_back({spec, policy::makePolicy(spec, k)});
     }
 
     CandidateSearchResult result;
     Rng rng(cfg_.seed);
 
     // Simulating every surviving candidate against one observation is
-    // the elimination inner loop. The lane path packs the compiled
-    // survivors into lockstep groups sharded across the pool
-    // (eval::matchObservationMultiPolicy); the legacy path fans out
-    // one SetModel replay per candidate. Candidate i only decides
-    // match[i] either way, and the in-order filter afterwards keeps
-    // the survivor order identical for any thread count or path.
+    // the elimination inner loop: one SetModel replay per candidate,
+    // fanned out over the pool. Candidate i only decides match[i],
+    // and the in-order filter afterwards keeps the survivor order
+    // identical for any thread count.
     const unsigned threads = resolveThreads(cfg_.numThreads);
-    std::vector<eval::SetLane> laneScratch;
     auto eliminate = [&](std::vector<Candidate>& candidates,
                          const std::vector<BlockId>& seq,
                          const Observation& observed) {
-        std::vector<char> match;
-        if (cfg_.useLaneKernel) {
-            laneScratch.clear();
-            laneScratch.reserve(candidates.size());
-            for (const Candidate& cand : candidates)
-                laneScratch.push_back(
-                    {cand.table, cand.prototype.get()});
-            match = eval::matchObservationMultiPolicy(
-                k, laneScratch, seq, observed.hits,
-                observed.determined, threads);
-        } else {
-            match.assign(candidates.size(), 0);
-            parallelFor(
-                candidates.size(), threads, [&](std::size_t i) {
-                    policy::SetModel model(
-                        candidates[i].prototype->clone());
-                    model.flush();
-                    bool ok = true;
-                    for (std::size_t j = 0; j < seq.size(); ++j) {
-                        // Undetermined positions carry no evidence:
-                        // the model still advances, but a
-                        // disagreement there never eliminates.
-                        const bool hit = model.access(seq[j]);
-                        if (observed.determined[j] &&
-                            hit != observed.hits[j]) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    match[i] = ok ? 1 : 0;
-                });
-        }
+        std::vector<char> match(candidates.size(), 0);
+        parallelFor(candidates.size(), threads, [&](std::size_t i) {
+            policy::SetModel model(candidates[i].prototype->clone());
+            model.flush();
+            bool ok = true;
+            for (std::size_t j = 0; j < seq.size(); ++j) {
+                // Undetermined positions carry no evidence: the
+                // model still advances, but a disagreement there
+                // never eliminates.
+                const bool hit = model.access(seq[j]);
+                if (observed.determined[j] && hit != observed.hits[j]) {
+                    ok = false;
+                    break;
+                }
+            }
+            match[i] = ok ? 1 : 0;
+        });
         std::vector<Candidate> next;
         for (std::size_t i = 0; i < candidates.size(); ++i)
             if (match[i])

@@ -78,17 +78,6 @@ struct CandidateSearchConfig
     bool useQueryLayer = true;
 
     /**
-     * Run candidate elimination on the multi-policy lockstep kernel
-     * (eval::matchObservationMultiPolicy): every surviving compiled
-     * automaton steps in lane groups over one shared decode of the
-     * observation, with interpreted SetModel lanes for candidates
-     * beyond the compile budget. false = the legacy per-candidate
-     * SetModel fan-out, kept as the differential baseline — verdicts
-     * are bit-identical either way (pinned by tests).
-     */
-    bool useLaneKernel = true;
-
-    /**
      * With adaptive voting enabled on the prober: extra fresh probe
      * sequences replayed after a decided verdict; any determined
      * mismatch against the surviving candidate downgrades the

@@ -225,6 +225,27 @@ inferLevelAtImpl(MeasurementContext& ctx,
     return finish(lvl);
 }
 
+/**
+ * Graceful degradation: a blown-up attempt at @p level (a probe
+ * construction the discovered geometry cannot support, a garbled
+ * counter tripping an internal check, ...) is an undetermined level,
+ * not an aborted pipeline.
+ */
+LevelReport
+erroredLevel(const DiscoveredGeometry& geometry, unsigned level,
+             const std::exception& e)
+{
+    LevelReport lvl;
+    lvl.levelName = levelTag(level);
+    if (level < geometry.levels.size())
+        lvl.geometry = geometry.levels[level];
+    lvl.outcome = LevelOutcome::kUndetermined;
+    lvl.verdict = "undetermined";
+    lvl.confidence = 0.0;
+    lvl.diagnostics = std::string("inference error: ") + e.what();
+    return lvl;
+}
+
 } // namespace
 
 LevelReport
@@ -237,19 +258,7 @@ inferLevelAt(MeasurementContext& ctx,
         return inferLevelAtImpl(ctx, geometry, level, baseAddr, opts,
                                 seedSalt);
     } catch (const std::exception& e) {
-        // Graceful degradation: a blown-up attempt (a probe
-        // construction the discovered geometry cannot support, a
-        // garbled counter tripping an internal check, ...) is an
-        // undetermined level, not an aborted pipeline.
-        LevelReport lvl;
-        lvl.levelName = levelTag(level);
-        if (level < geometry.levels.size())
-            lvl.geometry = geometry.levels[level];
-        lvl.outcome = LevelOutcome::kUndetermined;
-        lvl.verdict = "undetermined";
-        lvl.confidence = 0.0;
-        lvl.diagnostics = std::string("inference error: ") + e.what();
-        return lvl;
+        return erroredLevel(geometry, level, e);
     }
 }
 
@@ -275,15 +284,26 @@ inferMachine(hw::Machine& machine, const InferenceOptions& opts)
     for (unsigned level = 0; level < machine.depth(); ++level) {
         const uint64_t loads_before = ctx.loadsIssued();
 
-        // Step 1: adaptivity scan.
+        // Step 1: adaptivity scan. Its probers are built on the
+        // discovered geometry, which a faulty machine can get wrong;
+        // like inferLevelAt, the level then abstains instead of the
+        // pipeline throwing.
         AdaptiveReport adaptive;
         if (opts.detectAdaptivity) {
             AdaptiveDetectConfig acfg = opts.adaptive;
             acfg.voteRepeats = std::max(acfg.voteRepeats,
                                         opts.voteRepeats);
             acfg.search = opts.search;
-            adaptive = detectAdaptive(ctx, report.geometry, level,
-                                      acfg);
+            try {
+                adaptive = detectAdaptive(ctx, report.geometry, level,
+                                          acfg);
+            } catch (const std::exception& e) {
+                LevelReport lvl =
+                    erroredLevel(report.geometry, level, e);
+                lvl.loadsUsed = ctx.loadsIssued() - loads_before;
+                report.levels.push_back(std::move(lvl));
+                continue;
+            }
         }
 
         std::string adaptiveNote;

@@ -164,32 +164,6 @@ CompiledTableView::fullSetReachable() const
     return order;
 }
 
-TableLanes::TableLanes(std::vector<CompiledTablePtr> tables)
-    : tables_(std::move(tables))
-{
-    require(!tables_.empty(),
-            "TableLanes: need at least one compiled table");
-    for (const auto& table : tables_) {
-        require(table != nullptr,
-                "TableLanes: table must not be null");
-        if (ways_ == 0)
-            ways_ = table->ways();
-        require(table->ways() == ways_,
-                "TableLanes: lanes disagree on associativity");
-        Lane lane;
-        if (table->narrow()) {
-            lane.touch16 = table->touchData16();
-            lane.fill16 = table->fillData16();
-        } else {
-            lane.touch32 = table->touchData();
-            lane.fill32 = table->fillData();
-        }
-        lane.victim = table->victimData();
-        lane.numStates = table->numStates();
-        lanes_.push_back(lane);
-    }
-}
-
 CompiledTablePtr
 compiledTableFor(const std::string& spec, unsigned ways,
                  const CompileBudget& budget)

@@ -187,65 +187,6 @@ class CompiledTableView
 };
 
 /**
- * Hoisted raw-pointer view over the transition tables of several
- * compiled policies at one shared associativity — the lane array of
- * the multi-policy lockstep kernel (eval/multi_kernel.hh).
- *
- * The kernel steps N automatons per decoded access; going through
- * CompiledTablePtr would pay a shared_ptr dereference plus a
- * narrow() branch per lane per access. This view resolves both once:
- * it keeps the shared tables alive and exposes, per lane, the raw
- * base pointers of the narrow uint16 mirrors (when the automaton
- * fits 2^16 states) or the wide uint32 tables, plus the victim
- * vector, so the inner loop is pure array arithmetic.
- */
-class TableLanes
-{
-  public:
-    /** Raw table pointers of one lane. Exactly one of the
-     *  touch16/touch32 pairs is non-null (likewise fill). */
-    struct Lane
-    {
-        const uint16_t* touch16 = nullptr;
-        const uint16_t* fill16 = nullptr;
-        const uint32_t* touch32 = nullptr;
-        const uint32_t* fill32 = nullptr;
-        const uint16_t* victim = nullptr;
-        uint32_t numStates = 0;
-    };
-
-    TableLanes() = default;
-
-    /**
-     * @throws UsageError when @p tables is empty, contains a null
-     *         entry, or the tables disagree on associativity.
-     */
-    explicit TableLanes(std::vector<CompiledTablePtr> tables);
-
-    /** Shared associativity of every lane. */
-    unsigned ways() const { return ways_; }
-
-    std::size_t size() const { return lanes_.size(); }
-    bool empty() const { return lanes_.empty(); }
-
-    const Lane& operator[](std::size_t lane) const
-    {
-        return lanes_[lane];
-    }
-
-    /** The shared table lane @p lane reads from. */
-    const CompiledTablePtr& table(std::size_t lane) const
-    {
-        return tables_[lane];
-    }
-
-  private:
-    unsigned ways_ = 0;
-    std::vector<CompiledTablePtr> tables_;
-    std::vector<Lane> lanes_;
-};
-
-/**
  * Enumerates the reachable control states of @p proto (closed under
  * every touch(w)/fill(w) input, so the table is total even for fill
  * patterns only adaptive caches produce) and builds its transition

@@ -47,7 +47,8 @@ singleLevelSpec(const std::string& policy, unsigned ways)
 }
 
 CandidateSearchResult
-search_for(const std::string& policy, unsigned ways)
+search_for(const std::string& policy, unsigned ways,
+           const CandidateSearchConfig& cfg = {})
 {
     auto spec = singleLevelSpec(policy, ways);
     hw::Machine machine(spec);
@@ -57,7 +58,7 @@ search_for(const std::string& policy, unsigned ways)
     geom.levels.push_back({64, 64, ways});
     SetProber prober(ctx, geom, 0);
     CandidateSearch search(prober,
-                           infer::defaultCandidateSpecs(ways), {});
+                           infer::defaultCandidateSpecs(ways), cfg);
     return search.run();
 }
 
@@ -151,6 +152,58 @@ TEST(CandidateSearch, RestrictedLibraryStillDecides)
     EXPECT_TRUE(result.decided);
     EXPECT_EQ(result.verdict, "fifo");
     ASSERT_EQ(result.survivors.size(), 1u);
+}
+
+/**
+ * Elimination is pinned on a QLRU@12 rig at fixed seeds: survivors,
+ * verdict, rounds and measurement cost must not move when the
+ * simulation behind elimination changes. The one-round,
+ * random-only run keeps a wide survivor set, so it pins which
+ * candidates a single observation eliminates.
+ */
+TEST(CandidateSearch, PinnedQlru12Elimination)
+{
+    const std::string truth = "qlru:H1,M3,R0,U2";
+    struct Pin
+    {
+        uint64_t seed;
+        unsigned maxRounds;
+        bool decided;
+        std::string verdict;
+        unsigned rounds;
+        uint64_t loads;
+        uint64_t experiments;
+        std::vector<std::string> survivors;
+    };
+    const Pin pins[] = {
+        {4242, 64, true, truth, 7, 600, 7, {truth}},
+        {777, 64, true, truth, 13, 1128, 13, {truth}},
+        {777, 1, false, "qlru:H0,M1,R0,U0", 1, 72, 1,
+         {"qlru:H0,M1,R0,U0", "qlru:H0,M2,R0,U0", "qlru:H0,M3,R0,U0",
+          "qlru:H0,M3,R0,U2", "qlru:H1,M1,R0,U0", "qlru:H1,M2,R0,U0",
+          "qlru:H1,M3,R0,U0", "qlru:H1,M3,R0,U2"}},
+    };
+    for (const Pin& pin : pins) {
+        CandidateSearchConfig cfg;
+        cfg.seed = pin.seed;
+        cfg.numThreads = 1;
+        cfg.maxRounds = pin.maxRounds;
+        if (pin.maxRounds == 1) {
+            cfg.targetedPhase = false;
+            cfg.stopOnEquivalent = false;
+        }
+        const std::string what = "seed " + std::to_string(pin.seed) +
+                                 " maxRounds " +
+                                 std::to_string(pin.maxRounds);
+        const auto result = search_for(truth, 12, cfg);
+        EXPECT_EQ(result.survivors, pin.survivors) << what;
+        EXPECT_EQ(result.decided, pin.decided) << what;
+        EXPECT_FALSE(result.undetermined) << what;
+        EXPECT_EQ(result.verdict, pin.verdict) << what;
+        EXPECT_EQ(result.roundsRun, pin.rounds) << what;
+        EXPECT_EQ(result.loadsUsed, pin.loads) << what;
+        EXPECT_EQ(result.experimentsUsed, pin.experiments) << what;
+    }
 }
 
 TEST(CandidateSearch, EmptyLibraryRejected)

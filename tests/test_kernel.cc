@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "recap/cache/cache.hh"
+#include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
 #include "recap/eval/kernel.hh"
+#include "recap/eval/multi_kernel.hh"
 #include "recap/eval/simulate.hh"
 #include "recap/policy/compiled.hh"
 #include "recap/policy/factory.hh"
@@ -37,6 +39,17 @@ expectStatsEqual(const cache::LevelStats& a,
     EXPECT_EQ(a.evictions, b.evictions) << what;
 }
 
+/** The interpreted reference: a cache::Cache access loop. */
+cache::LevelStats
+cacheLoop(const cache::Geometry& geom, const std::string& spec,
+          const trace::Trace& t, uint64_t seed)
+{
+    cache::Cache reference(geom, spec, "ref", seed);
+    for (const cache::Addr addr : t)
+        reference.access(addr);
+    return reference.stats();
+}
+
 /**
  * simulateTrace (which dispatches to the kernel) vs an explicit
  * interpreted Cache loop, for every catalog policy — compiled ones
@@ -48,11 +61,8 @@ TEST(Kernel, MatchesInterpretedCacheStats)
     for (const auto& spec : policy::baselineSpecs()) {
         if (!policy::specSupportsWays(spec, kGeom.ways))
             continue;
-        cache::Cache reference(kGeom, spec, "ref", 1);
-        for (const cache::Addr addr : t)
-            reference.access(addr);
-        const auto viaKernel = simulateTrace(kGeom, spec, t, 1);
-        expectStatsEqual(viaKernel, reference.stats(), spec);
+        expectStatsEqual(simulateTrace(kGeom, spec, t, 1),
+                         cacheLoop(kGeom, spec, t, 1), spec);
     }
 }
 
@@ -90,19 +100,121 @@ TEST(Kernel, FinalSetImagesMatchCache)
     }
 }
 
-/** forceInterpreted must change nothing but the execution path. */
-TEST(Kernel, ForceInterpretedIsEquivalent)
+/** Catalog specs that support @p ways. */
+std::vector<std::string>
+catalogFor(unsigned ways)
 {
-    const auto t = trace::zipf(1 << 15, 15000, 0.8, 3);
-    for (const std::string spec :
-         {"lru", "plru", "srrip", "fifo", "random"}) {
-        KernelOptions compiled;
-        KernelOptions interpreted;
-        interpreted.forceInterpreted = true;
-        expectStatsEqual(
-            simulateTraceKernel(kGeom, spec, t, compiled),
-            simulateTraceKernel(kGeom, spec, t, interpreted), spec);
+    std::vector<std::string> specs;
+    for (const auto& spec : policy::catalogSpecs())
+        if (policy::specSupportsWays(spec, ways))
+            specs.push_back(spec);
+    return specs;
+}
+
+/**
+ * simulatePoliciesBatch vs a per-spec cache loop over the whole
+ * catalog at 2, 4 and 8 ways; results are positional and equal for
+ * 1 and 4 threads.
+ */
+TEST(MultiKernel, CatalogDifferentialAcrossWays)
+{
+    const auto t = trace::zipf(32 * 1024, 20000, 0.9, 7);
+    for (const unsigned ways : {2u, 4u, 8u}) {
+        const cache::Geometry geom{64, 64, ways};
+        const auto specs = catalogFor(ways);
+        ASSERT_FALSE(specs.empty());
+
+        MultiPolicyOptions opts;
+        for (const unsigned threads : {1u, 4u}) {
+            opts.numThreads = threads;
+            const auto batch =
+                simulatePoliciesBatch(geom, specs, t, opts);
+            ASSERT_EQ(batch.size(), specs.size());
+            for (std::size_t i = 0; i < specs.size(); ++i)
+                expectStatsEqual(
+                    batch[i], cacheLoop(geom, specs[i], t, opts.seed),
+                    specs[i] + " @" + std::to_string(ways) + "w, " +
+                        std::to_string(threads) + " threads");
+        }
     }
+}
+
+/**
+ * One batch mixing compiled and fallback specs: a tiny compile
+ * budget forces the factorial-state policies onto the interpreted
+ * path while tree/bit policies stay compiled, and a stochastic
+ * fallback spec appears twice, each occurrence on its own lane seed.
+ */
+TEST(MultiKernel, MixedCompiledAndFallbackLanes)
+{
+    const std::vector<std::string> specs = {
+        "lru", "plru", "fifo", "bitplru", "nru", "lip", "random",
+        "random"};
+    const auto t = trace::zipf(32 * 1024, 15000, 0.9, 3);
+
+    MultiPolicyOptions opts;
+    opts.budget.maxStates = 300; // plru/bitplru/nru only
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        opts.laneSeeds.push_back(100 + i);
+
+    unsigned compiled = 0;
+    for (const auto& spec : specs)
+        compiled +=
+            policy::compiledTableFor(spec, kGeom.ways, opts.budget) ? 1
+                                                                    : 0;
+    EXPECT_EQ(compiled, 3u); // the batch really is mixed
+
+    for (const unsigned threads : {1u, 4u}) {
+        opts.numThreads = threads;
+        const auto batch = simulatePoliciesBatch(kGeom, specs, t, opts);
+        ASSERT_EQ(batch.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            expectStatsEqual(
+                batch[i],
+                cacheLoop(kGeom, specs[i], t, opts.laneSeeds[i]),
+                specs[i] + " lane " + std::to_string(i) + ", " +
+                    std::to_string(threads) + " threads");
+    }
+}
+
+/** Duplicate specs (the candidate-grid shape the benches cycle) come
+ *  back identical to their first occurrence. */
+TEST(MultiKernel, DuplicateLanesMatchFirstOccurrence)
+{
+    const std::vector<std::string> specs = {
+        "lru", "plru", "lru", "srrip", "plru", "lru"};
+    const auto t = trace::zipf(32 * 1024, 15000, 0.9, 5);
+
+    MultiPolicyOptions opts;
+    opts.numThreads = 1;
+    const auto batch = simulatePoliciesBatch(kGeom, specs, t, opts);
+    ASSERT_EQ(batch.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        expectStatsEqual(batch[i],
+                         cacheLoop(kGeom, specs[i], t, opts.seed),
+                         specs[i]);
+        for (std::size_t j = i + 1; j < specs.size(); ++j)
+            if (specs[i] == specs[j])
+                expectStatsEqual(batch[j], batch[i],
+                                 specs[i] + " duplicate");
+    }
+}
+
+/** Unsupported-associativity specs and wrong-size laneSeeds are
+ *  rejected up front, not silently mis-simulated. */
+TEST(MultiKernel, RejectsMismatchedGeometry)
+{
+    const auto t = trace::sequentialScan(16 * 1024, 2, 64);
+    // tree-PLRU needs power-of-two ways.
+    EXPECT_THROW(simulatePoliciesBatch(cache::Geometry{64, 64, 6},
+                                       {std::string("plru")}, t),
+                 UsageError);
+    // laneSeeds must be sized like specs.
+    MultiPolicyOptions badSeeds;
+    badSeeds.laneSeeds = {1, 2, 3};
+    EXPECT_THROW(simulatePoliciesBatch(kGeom, {std::string("lru")}, t,
+                                       badSeeds),
+                 UsageError);
 }
 
 /**
@@ -151,12 +263,9 @@ TEST(Kernel, GeometrySweepMatchesCache)
         for (const std::string spec : {"lru", "plru", "nru"}) {
             if (!policy::specSupportsWays(spec, geom.ways))
                 continue;
-            cache::Cache reference(geom, spec, "ref", 1);
-            for (const cache::Addr addr : t)
-                reference.access(addr);
-            expectStatsEqual(
-                simulateTrace(geom, spec, t, 1), reference.stats(),
-                spec + " @ " + geom.describe());
+            expectStatsEqual(simulateTrace(geom, spec, t, 1),
+                             cacheLoop(geom, spec, t, 1),
+                             spec + " @ " + geom.describe());
         }
     }
 }

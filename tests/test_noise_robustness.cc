@@ -176,6 +176,31 @@ TEST(NoiseRobustness, FullPipelineOnHostileCatalogMachine)
     }
 }
 
+// Regression: at machine seed 6 the faults mis-probe the L2 geometry
+// (no fewer sets than L1 reported), and the adaptivity scan's prober
+// construction used to throw out of inferMachine. The level must
+// abstain with the error in its diagnostics instead.
+TEST(NoiseRobustness, MisprobedGeometryAbstainsInsteadOfThrowing)
+{
+    auto spec =
+        hw::reducedSpec(hw::catalogMachine("core2-e6300"), 1024);
+    hw::Machine machine(spec, 6, hw::FaultConfig::hostile(0.25));
+    InferenceOptions opts;
+    opts.robust.vote.enabled = true;
+    infer::MachineReport report;
+    ASSERT_NO_THROW(report = infer::inferMachine(machine, opts));
+    ASSERT_EQ(report.levels.size(), 2u);
+    EXPECT_EQ(report.levels[0].outcome, LevelOutcome::kDecided);
+    EXPECT_EQ(report.levels[0].verdict, "PLRU");
+    const LevelReport& l2 = report.levels[1];
+    EXPECT_EQ(l2.outcome, LevelOutcome::kUndetermined);
+    EXPECT_EQ(l2.verdict, "undetermined");
+    EXPECT_EQ(l2.levelName, "L2");
+    EXPECT_NE(l2.diagnostics.find("inference error: SetProber"),
+              std::string::npos)
+        << l2.diagnostics;
+}
+
 // A genuinely adaptive level must still be reported as adaptive with
 // robust gating on: the trusted-claim path (both constituents
 // identified, agreement above the gate) stays open.
