@@ -35,29 +35,6 @@ buildHierarchy(const hw::MachineSpec& spec, uint64_t seed,
 namespace
 {
 
-template <typename AccessFn>
-HierarchyResult
-runInterpreted(const hw::MachineSpec& spec, size_t count,
-               const HierarchyOptions& opts, AccessFn&& access_one)
-{
-    cache::Hierarchy hierarchy =
-        buildHierarchy(spec, opts.seed, opts.inclusion);
-
-    HierarchyResult result;
-    result.servedBy.assign(hierarchy.depth() + 1, 0);
-    for (size_t i = 0; i < count; ++i) {
-        const unsigned level = access_one(hierarchy, i);
-        ++result.servedBy[level];
-        result.totalCycles += hierarchy.latencyOf(level);
-    }
-    result.accesses = count;
-    for (unsigned i = 0; i < hierarchy.depth(); ++i) {
-        result.levelNames.push_back(hierarchy.level(i).cache.name());
-        result.levels.push_back(hierarchy.level(i).cache.stats());
-    }
-    return result;
-}
-
 template <typename TraceT>
 HierarchyResult
 runCompiled(const hw::MachineSpec& spec, const TraceT& t,
@@ -104,12 +81,6 @@ HierarchyResult
 evaluateHierarchy(const hw::MachineSpec& spec, const trace::Trace& t,
                   const HierarchyOptions& opts)
 {
-    if (opts.forceInterpreted) {
-        return runInterpreted(spec, t.size(), opts,
-                              [&](cache::Hierarchy& h, size_t i) {
-                                  return h.access(t[i]);
-                              });
-    }
     return runCompiled(spec, t, opts);
 }
 
@@ -118,13 +89,6 @@ evaluateHierarchy(const hw::MachineSpec& spec,
                   const trace::RefTrace& refs,
                   const HierarchyOptions& opts)
 {
-    if (opts.forceInterpreted) {
-        return runInterpreted(spec, refs.size(), opts,
-                              [&](cache::Hierarchy& h, size_t i) {
-                                  return h.access(refs[i].addr,
-                                                  refs[i].write);
-                              });
-    }
     return runCompiled(spec, refs, opts);
 }
 

@@ -5,12 +5,11 @@
  * average memory access time (AMAT) — the end-to-end performance
  * lens on the reverse-engineered policies.
  *
- * evaluateHierarchy() rides the compiled hier:: subsystem whenever
- * the level policies fit the compile budget and falls back to the
- * interpreted cache::Hierarchy otherwise (mirroring
- * policy::makeCompiledOrFallback); both paths are bit-identical, so
- * the choice is purely a performance one and can be forced for
- * differential measurement via HierarchyOptions.
+ * evaluateHierarchy() runs the hier:: subsystem, which walks a
+ * compiled table for every level policy that fits the compile budget
+ * and an interpreted per-set automaton for the rest. Its results are
+ * bit-identical to the interpreted cache::Hierarchy that
+ * buildHierarchy() wires up, the reference it is pinned against.
  */
 
 #ifndef RECAP_EVAL_HIERARCHY_EVAL_HH_
@@ -56,12 +55,6 @@ struct HierarchyOptions
 
     /** Compile budget for the fast path's policy tables. */
     policy::CompileBudget budget;
-
-    /**
-     * Run the interpreted cache::Hierarchy instead of the compiled
-     * subsystem — the baseline side of speedup measurements.
-     */
-    bool forceInterpreted = false;
 };
 
 /**

@@ -107,10 +107,8 @@ Hierarchy::Hierarchy(const hw::MachineSpec& spec, uint64_t seed,
             return p;
         };
 
-        if (!opts.forceInterpreted) {
-            lvl.tableA = policy::compiledTableFor(
-                lvl_spec.policySpec, lvl.ways, opts.budget);
-        }
+        lvl.tableA = policy::compiledTableFor(lvl_spec.policySpec,
+                                              lvl.ways, opts.budget);
         if (lvl.tableA) {
             lvl.ptrA = hoist(*lvl.tableA);
             lvl.stateA.assign(sets, 0);
@@ -137,10 +135,8 @@ Hierarchy::Hierarchy(const hw::MachineSpec& spec, uint64_t seed,
             lvl.pselMax = (1u << lvl.duel.pselBits) - 1;
             lvl.psel = (lvl.pselMax + 1) / 2;
 
-            if (!opts.forceInterpreted) {
-                lvl.tableB = policy::compiledTableFor(
-                    lvl_spec.policySpecB, lvl.ways, opts.budget);
-            }
+            lvl.tableB = policy::compiledTableFor(
+                lvl_spec.policySpecB, lvl.ways, opts.budget);
             if (lvl.tableB) {
                 lvl.ptrB = hoist(*lvl.tableB);
                 lvl.stateB.assign(sets, 0);

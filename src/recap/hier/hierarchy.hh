@@ -57,15 +57,11 @@ struct Options
     /** Cross-level content discipline (see cache::InclusionMode). */
     cache::InclusionMode mode = cache::InclusionMode::kNonInclusive;
 
-    /** Budget handed to compiledTableFor() per constituent policy. */
-    policy::CompileBudget budget;
-
     /**
-     * Skip table compilation entirely and run every policy on the
-     * interpreted fallback — for differential testing and for
-     * benchmarking the tables' contribution in isolation.
+     * Budget handed to compiledTableFor() per constituent policy; a
+     * policy over it runs on the interpreted per-set fallback.
      */
-    bool forceInterpreted = false;
+    policy::CompileBudget budget;
 };
 
 /**
@@ -86,7 +82,7 @@ class Hierarchy
      * @param spec Machine description; validated. Every level must
      *             have at most 32 ways (the bitmask word width).
      * @param seed Seed for stochastic (fallback) policies.
-     * @param opts Inclusion mode, compile budget, fallback forcing.
+     * @param opts Inclusion mode and compile budget.
      */
     explicit Hierarchy(const hw::MachineSpec& spec, uint64_t seed = 1,
                        const Options& opts = {});

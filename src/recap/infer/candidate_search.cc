@@ -1,7 +1,6 @@
 #include "recap/infer/candidate_search.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
@@ -10,7 +9,6 @@
 #include "recap/policy/factory.hh"
 #include "recap/policy/qlru.hh"
 #include "recap/policy/set_model.hh"
-#include "recap/query/oracle.hh"
 
 namespace recap::infer
 {
@@ -46,46 +44,15 @@ CandidateSearch::run()
     const uint64_t experiments_before =
         prober_.context().experimentsRun();
 
-    // Query-layer view of the prober: every probe sequence runs as an
-    // observe-all membership query, so its cost lands in the same
-    // accounting funnel as the other inference techniques.
-    std::optional<query::MachineOracle> oracle;
-    if (cfg_.useQueryLayer)
-        oracle.emplace(prober_, query::ObservationMode::kCounter);
-
     const bool robust = prober_.config().vote.enabled;
     double minConfidence = 1.0;
 
-    /** One observed sequence with per-position trust. */
-    struct Observation
-    {
-        std::vector<bool> hits;
-        std::vector<bool> determined;
-    };
+    using Observation = SetProber::ObservedSequence;
     auto observe = [&](const std::vector<BlockId>& seq) {
-        Observation obs;
-        if (!oracle) {
-            const SetProber::ObservedSequence raw =
-                prober_.observeRobust(seq);
-            obs.hits = raw.hits;
-            obs.determined = raw.determined;
-            for (size_t j = 0; j < seq.size(); ++j)
-                if (raw.determined[j])
-                    minConfidence =
-                        std::min(minConfidence, raw.confidence[j]);
-            return obs;
-        }
-        const auto verdict =
-            oracle->evaluate(query::makeObserveAllQuery(seq));
-        obs.hits.reserve(verdict.probes.size());
-        obs.determined.reserve(verdict.probes.size());
-        for (const auto& probe : verdict.probes) {
-            obs.hits.push_back(probe.hit);
-            obs.determined.push_back(probe.determined);
-            if (probe.determined)
-                minConfidence =
-                    std::min(minConfidence, probe.confidence);
-        }
+        Observation obs = prober_.observeRobust(seq);
+        for (size_t j = 0; j < seq.size(); ++j)
+            if (obs.determined[j])
+                minConfidence = std::min(minConfidence, obs.confidence[j]);
         return obs;
     };
 

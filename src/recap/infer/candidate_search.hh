@@ -69,15 +69,6 @@ struct CandidateSearchConfig
     bool targetedPhase = true;
 
     /**
-     * Issue every observation through the query layer (a borrowing
-     * query::MachineOracle), so measurement cost is accounted
-     * centrally alongside the other inference techniques. Verdicts
-     * are unchanged — the differential tests assert it. false = the
-     * pre-query-layer direct SetProber path.
-     */
-    bool useQueryLayer = true;
-
-    /**
      * With adaptive voting enabled on the prober: extra fresh probe
      * sequences replayed after a decided verdict; any determined
      * mismatch against the surviving candidate downgrades the

@@ -7,7 +7,6 @@
 #include "recap/common/error.hh"
 #include "recap/common/rng.hh"
 #include "recap/policy/set_model.hh"
-#include "recap/query/oracle.hh"
 
 namespace recap::infer
 {
@@ -103,17 +102,7 @@ PermutationInference::run()
     const uint64_t experiments_before =
         prober_.context().experimentsRun();
 
-    // Query-layer view of the prober for this run: survival probes
-    // and validation rounds are expressed as query batches, so the
-    // measurement cost flows through one accounting funnel.
-    std::optional<query::MachineOracle> oracle;
-    if (cfg_.useQueryLayer) {
-        oracle.emplace(prober_, query::ObservationMode::kCounter);
-        oracle_ = &*oracle;
-    }
-
     auto finish = [&](PermutationInferenceResult r) {
-        oracle_ = nullptr;
         r.confidence = minConfidence_;
         if (!r.isPermutation && sawUndetermined_) {
             // Some probe never reached a quorum: the machine was too
@@ -319,131 +308,32 @@ PermutationInference::evictionOrderAfter(
     // yield garbage positions that the consistency checks below (or
     // the final cross-validation) refute.
     std::vector<int> position(candidates.size(), -1);
-    if (!cfg_.useQueryLayer) {
-        // Direct path: one candidate at a time against the prober.
-        for (size_t c = 0; c < candidates.size(); ++c) {
-            if (!survives_m(candidates[c], 0))
-                continue; // evicted by the prefix itself
-            if (!cfg_.binarySearchSurvival) {
-                // Naive upward scan (ablation baseline).
-                for (unsigned m = 0; m <= k; ++m) {
-                    if (!survives_m(candidates[c], m))
-                        break;
-                    position[c] = static_cast<int>(m);
-                }
-                continue;
-            }
-            if (survives_m(candidates[c], k)) {
-                position[c] = static_cast<int>(k); // inconsistent
-                continue;
-            }
-            unsigned lo = 0; // survives
-            unsigned hi = k; // does not survive
-            while (hi - lo > 1) {
-                const unsigned mid = lo + (hi - lo) / 2;
-                if (survives_m(candidates[c], mid))
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            position[c] = static_cast<int>(lo);
-        }
-    } else {
-        // Query path: the same probes, but all candidates advance in
-        // lockstep and each round's probes evaluate as one batch.
-        // (candidate index, fresh-miss count) pairs per round.
-        using Probe = std::pair<size_t, unsigned>;
-        auto surviveBatch = [&](const std::vector<Probe>& probes) {
-            std::vector<query::CompiledQuery> queries;
-            queries.reserve(probes.size());
-            for (const auto& [c, m] : probes)
-                queries.push_back(query::makeSurvivalQuery(
-                    seqFor(m), candidates[c]));
-            const auto verdicts = oracle_->evaluateBatch(queries);
-            std::vector<bool> out(probes.size());
-            for (size_t i = 0; i < probes.size(); ++i) {
-                const query::ProbeOutcome& probe =
-                    verdicts[i].probes.front();
-                noteVote(probe.confidence, probe.determined,
-                         "survival probe without a quorum");
-                out[i] = probe.hit;
-            }
-            return out;
-        };
-
-        // Screening round: which candidates does the prefix itself
-        // leave resident?
-        std::vector<Probe> round;
-        for (size_t c = 0; c < candidates.size(); ++c)
-            round.push_back({c, 0});
-        std::vector<bool> res = surviveBatch(round);
-        std::vector<size_t> active;
-        for (size_t c = 0; c < candidates.size(); ++c) {
-            if (res[c]) {
-                active.push_back(c);
-                position[c] = 0;
-            }
-        }
-
+    for (size_t c = 0; c < candidates.size(); ++c) {
+        if (!survives_m(candidates[c], 0))
+            continue; // evicted by the prefix itself
         if (!cfg_.binarySearchSurvival) {
-            // Lockstep upward scan (ablation baseline).
-            for (unsigned m = 1; m <= k && !active.empty(); ++m) {
-                round.clear();
-                for (size_t c : active)
-                    round.push_back({c, m});
-                res = surviveBatch(round);
-                std::vector<size_t> still;
-                for (size_t i = 0; i < active.size(); ++i) {
-                    if (res[i]) {
-                        position[active[i]] = static_cast<int>(m);
-                        still.push_back(active[i]);
-                    }
-                }
-                active = std::move(still);
-            }
-        } else if (!active.empty()) {
-            // Upper probe at m = k, then lockstep binary search on
-            // the open [lo survives, hi fails) intervals.
-            round.clear();
-            for (size_t c : active)
-                round.push_back({c, k});
-            res = surviveBatch(round);
-            struct Range
-            {
-                size_t c;
-                unsigned lo, hi;
-            };
-            std::vector<Range> open;
-            for (size_t i = 0; i < active.size(); ++i) {
-                if (res[i])
-                    position[active[i]] =
-                        static_cast<int>(k); // inconsistent
-                else
-                    open.push_back({active[i], 0, k});
-            }
-            for (;;) {
-                round.clear();
-                for (const Range& r : open)
-                    if (r.hi - r.lo > 1)
-                        round.push_back(
-                            {r.c, r.lo + (r.hi - r.lo) / 2});
-                if (round.empty())
+            // Naive upward scan (ablation baseline).
+            for (unsigned m = 0; m <= k; ++m) {
+                if (!survives_m(candidates[c], m))
                     break;
-                res = surviveBatch(round);
-                size_t i = 0;
-                for (Range& r : open) {
-                    if (r.hi - r.lo <= 1)
-                        continue;
-                    const unsigned mid = r.lo + (r.hi - r.lo) / 2;
-                    if (res[i++])
-                        r.lo = mid;
-                    else
-                        r.hi = mid;
-                }
+                position[c] = static_cast<int>(m);
             }
-            for (const Range& r : open)
-                position[r.c] = static_cast<int>(r.lo);
+            continue;
         }
+        if (survives_m(candidates[c], k)) {
+            position[c] = static_cast<int>(k); // inconsistent
+            continue;
+        }
+        unsigned lo = 0; // survives
+        unsigned hi = k; // does not survive
+        while (hi - lo > 1) {
+            const unsigned mid = lo + (hi - lo) / 2;
+            if (survives_m(candidates[c], mid))
+                lo = mid;
+            else
+                hi = mid;
+        }
+        position[c] = static_cast<int>(lo);
     }
 
     // Any undetermined probe poisons the whole reconstruction: a
@@ -475,106 +365,46 @@ PermutationInference::validate(
     const policy::PermutationPolicy& candidate, std::string& reason)
 {
     const unsigned k = prober_.ways();
+    const unsigned length = cfg_.validationLengthFactor * k;
     Rng rng(cfg_.seed);
-    auto nextRound = [&](std::vector<BlockId>& seq,
-                         std::vector<bool>& predicted) {
-        const unsigned universe =
-            k + 1 + static_cast<unsigned>(rng.nextBelow(4));
-        const unsigned length = cfg_.validationLengthFactor * k;
-        seq.resize(length);
-        for (auto& b : seq)
-            b = 1 + rng.nextBelow(universe);
-
-        policy::SetModel model(candidate.clone());
-        predicted.clear();
-        predicted.reserve(length);
-        for (BlockId b : seq)
-            predicted.push_back(model.access(b));
-    };
 
     // A mismatch refutes only where the observation is determined;
     // undetermined positions abstain, but when they swamp the
     // evidence the validation itself is undetermined (a candidate
-    // must not be accepted on vacuous agreement).
+    // must not be accepted on vacuous agreement). One observation per
+    // round; the first mismatch refutes, so a bad hypothesis pays for
+    // no later round.
     uint64_t totalPositions = 0;
     uint64_t undeterminedPositions = 0;
-    auto concludeValidation = [&] {
-        if (undeterminedPositions * 2 > totalPositions) {
-            noteVote(0.0, false,
-                     "cross-validation mostly without quorums");
-            reason = "cross-validation was mostly undetermined";
-            return false;
-        }
-        return true;
-    };
-
-    if (!cfg_.useQueryLayer) {
-        // Direct path: one observation per round, stop on mismatch.
-        for (unsigned round = 0; round < cfg_.validationRounds;
-             ++round) {
-            std::vector<BlockId> seq;
-            std::vector<bool> predicted;
-            nextRound(seq, predicted);
-            const SetProber::ObservedSequence obs =
-                prober_.observeRobust(seq);
-            for (size_t j = 0; j < seq.size(); ++j) {
-                ++totalPositions;
-                if (!obs.determined[j]) {
-                    ++undeterminedPositions;
-                    continue;
-                }
-                minConfidence_ =
-                    std::min(minConfidence_, obs.confidence[j]);
-                if (obs.hits[j] != predicted[j]) {
-                    reason = "cross-validation mismatch in round " +
-                             std::to_string(round);
-                    return false;
-                }
+    std::vector<BlockId> seq(length);
+    for (unsigned round = 0; round < cfg_.validationRounds; ++round) {
+        const unsigned universe =
+            k + 1 + static_cast<unsigned>(rng.nextBelow(4));
+        for (auto& b : seq)
+            b = 1 + rng.nextBelow(universe);
+        policy::SetModel model(candidate.clone());
+        const SetProber::ObservedSequence obs = prober_.observeRobust(seq);
+        for (size_t j = 0; j < seq.size(); ++j) {
+            const bool predicted = model.access(seq[j]);
+            ++totalPositions;
+            if (!obs.determined[j]) {
+                ++undeterminedPositions;
+                continue;
             }
-        }
-        return concludeValidation();
-    }
-
-    // Query path: rounds evaluate as observe-all query batches in
-    // chunks, stopping at the chunk holding the first mismatch (so a
-    // bad hypothesis still fails fast).
-    constexpr unsigned kChunk = 8;
-    for (unsigned start = 0; start < cfg_.validationRounds;
-         start += kChunk) {
-        const unsigned end =
-            std::min(start + kChunk, cfg_.validationRounds);
-        std::vector<query::CompiledQuery> queries;
-        std::vector<std::vector<bool>> predictions;
-        for (unsigned round = start; round < end; ++round) {
-            std::vector<BlockId> seq;
-            std::vector<bool> predicted;
-            nextRound(seq, predicted);
-            queries.push_back(query::makeObserveAllQuery(seq));
-            predictions.push_back(std::move(predicted));
-        }
-        const auto verdicts = oracle_->evaluateBatch(queries);
-        for (unsigned round = start; round < end; ++round) {
-            const auto& probes = verdicts[round - start].probes;
-            const auto& predicted = predictions[round - start];
-            bool match = probes.size() == predicted.size();
-            for (size_t j = 0; match && j < probes.size(); ++j) {
-                ++totalPositions;
-                if (!probes[j].determined) {
-                    ++undeterminedPositions;
-                    continue;
-                }
-                minConfidence_ =
-                    std::min(minConfidence_, probes[j].confidence);
-                match = probes[j].hit == predicted[j];
-            }
-            if (!match) {
+            minConfidence_ = std::min(minConfidence_, obs.confidence[j]);
+            if (obs.hits[j] != predicted) {
                 reason = "cross-validation mismatch in round " +
                          std::to_string(round);
                 return false;
             }
         }
     }
-    return concludeValidation();
+    if (undeterminedPositions * 2 > totalPositions) {
+        noteVote(0.0, false, "cross-validation mostly without quorums");
+        reason = "cross-validation was mostly undetermined";
+        return false;
+    }
+    return true;
 }
 
 } // namespace recap::infer

@@ -24,11 +24,6 @@
 #include "recap/infer/set_prober.hh"
 #include "recap/policy/permutation.hh"
 
-namespace recap::query
-{
-class MachineOracle;
-}
-
 namespace recap::infer
 {
 
@@ -55,16 +50,6 @@ struct PermutationInferenceConfig
      * permutations before validation (ablation baseline).
      */
     bool earlySpotCheck = true;
-
-    /**
-     * Issue survival/validation probes through the query layer
-     * (query::MachineOracle batches: candidates are screened and
-     * binary-searched in lockstep, validation rounds evaluate in
-     * chunks). Verdicts are unchanged — the differential tests
-     * assert it — but cost is accounted centrally and batches can
-     * share work. false = the pre-query-layer direct SetProber path.
-     */
-    bool useQueryLayer = true;
 
     uint64_t seed = 2024;
 };
@@ -138,9 +123,6 @@ class PermutationInference
 
     SetProber& prober_;
     PermutationInferenceConfig cfg_;
-
-    /** Query-layer view of the prober; null on the direct path. */
-    query::MachineOracle* oracle_ = nullptr;
 
     // Per-run robustness state (reset by run()).
     bool sawUndetermined_ = false;

@@ -85,7 +85,6 @@ struct PolicyLearningOptions
         .maxRounds = 512,
         .randomWordsPerRound = 128,
         .randomWordLength = 0,
-        .wMethod = true,
         .wMethodDepth = 1,
         .wMethodMaxWords = 100'000,
         .minConfidence = 0.0,

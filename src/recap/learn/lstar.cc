@@ -311,8 +311,6 @@ LStarLearner::findCounterexample(const MealyMachine& hypothesis,
     // (d) Bounded W-method: transition cover x middles up to the
     // depth x the table's distinguishing suffixes. Complete whenever
     // the true machine has at most states + depth states.
-    if (!options_.wMethod)
-        return std::nullopt;
     std::vector<Word> middles{{}};
     for (unsigned d = 0; d < options_.wMethodDepth; ++d) {
         std::vector<Word> grown;

@@ -99,9 +99,6 @@ struct LearnOptions
     /** Random word length (0 selects 4 * ways + 4). */
     unsigned randomWordLength = 0;
 
-    /** Run the bounded W-method pass when true. */
-    bool wMethod = true;
-
     /** W-method extra-state depth (middle-section length bound). */
     unsigned wMethodDepth = 1;
 

@@ -105,7 +105,7 @@ struct Step
 /**
  * A query compiled to the flat form the oracles execute. Block names
  * are interned to dense 1-based ids in first-occurrence order;
- * programmatic queries (built by the inference layer) may use
+ * programmatic queries (built in code, e.g. by the L* teacher) may use
  * arbitrary ids and leave `blockNames` empty.
  */
 struct CompiledQuery

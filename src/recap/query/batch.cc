@@ -195,8 +195,7 @@ batchEvaluateSnapshot(PolicyOracle& oracle,
     // outcomes depend only on the path, never on scheduling. When the
     // policy compiles, the model is a plain-data FastSetModel and the
     // branch-point snapshots are memcpys instead of policy clones.
-    const policy::CompiledTablePtr table =
-        opts.compiledKernel ? oracle.compiledTable() : nullptr;
+    const policy::CompiledTablePtr table = oracle.compiledTable();
     if (table && table->ways() <= kFastWays) {
         parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
             walkSubtree(trie, roots[r], FastSetModel(*table));

@@ -13,9 +13,9 @@
  *    loads classified into levels).
  *
  * Every experiment issued through an oracle goes through
- * MeasurementContext::beginExperiment(), so measurement cost is
- * accounted in one place for every inference technique that speaks
- * the query layer.
+ * MeasurementContext::beginExperiment(), the same funnel the
+ * inference techniques' direct SetProber probes use, so measurement
+ * cost is accounted in one place.
  */
 
 #ifndef RECAP_QUERY_ORACLE_HH_
@@ -142,15 +142,6 @@ struct BatchOptions
      * stateful device and always evaluates serially.
      */
     unsigned numThreads = 1;
-
-    /**
-     * Let the policy backend walk the snapshot trie with a compiled
-     * transition table (plain-data set state, O(1) clones) when the
-     * policy's automaton fits the compile budget. Outcomes are
-     * bit-identical either way; false forces the interpreted
-     * SetModel walk (the baseline the differential tests pin).
-     */
-    bool compiledKernel = true;
 };
 
 /** Cost accounting of one batch evaluation. */
@@ -319,7 +310,7 @@ class MachineOracle : public QueryOracle
                   unsigned targetLevel,
                   const MachineOracleConfig& cfg = {});
 
-    /** Borrows an existing prober (the inference-layer form). */
+    /** Borrows an existing prober (the pipeline's L* escalation). */
     explicit MachineOracle(
         infer::SetProber& prober,
         ObservationMode mode = ObservationMode::kCounter);

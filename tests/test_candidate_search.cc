@@ -154,6 +154,32 @@ TEST(CandidateSearch, RestrictedLibraryStillDecides)
     ASSERT_EQ(result.survivors.size(), 1u);
 }
 
+TEST(CandidateSearch, RecoversFromAMixedLibrary)
+{
+    // Permutation, NRU, RRIP and QLRU candidates side by side: the
+    // verdict must be the hidden spec itself, not just an equivalent.
+    const std::vector<std::string> candidates{
+        "lru", "fifo", "plru", "nru",
+        "bip", "srrip", "brrip", "qlru:H1,M1,R0,U2",
+    };
+    for (const std::string truth : {"nru", "srrip", "qlru:H1,M1,R0,U2"}) {
+        auto spec = singleLevelSpec(truth, 8);
+        hw::Machine machine(spec);
+        MeasurementContext ctx(machine);
+        DiscoveredGeometry geom;
+        geom.lineSize = 64;
+        geom.levels.push_back({64, 64, 8});
+        SetProber prober(ctx, geom, 0);
+        CandidateSearchConfig cfg;
+        cfg.numThreads = 1;
+        const auto result = CandidateSearch(prober, candidates, cfg).run();
+        EXPECT_TRUE(result.decided) << truth;
+        EXPECT_EQ(result.verdict, truth);
+        EXPECT_EQ(result.loadsUsed, ctx.loadsIssued()) << truth;
+        EXPECT_EQ(result.experimentsUsed, ctx.experimentsRun()) << truth;
+    }
+}
+
 /**
  * Elimination is pinned on a QLRU@12 rig at fixed seeds: survivors,
  * verdict, rounds and measurement cost must not move when the

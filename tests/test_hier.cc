@@ -91,9 +91,13 @@ TEST(Hier, FallbackLevelsRunInterpreted)
     EXPECT_FALSE(h.levelCompiled(1));
     EXPECT_FALSE(h.fullyCompiled());
 
+    // A budget too small for any table puts every level on the
+    // per-set fallback.
     hier::Options interp;
-    interp.forceInterpreted = true;
+    interp.budget.maxStates = 1;
     hier::Hierarchy h2(smallSpec(), 1, interp);
+    EXPECT_FALSE(h2.levelCompiled(0));
+    EXPECT_FALSE(h2.levelCompiled(1));
     EXPECT_FALSE(h2.fullyCompiled());
 }
 
@@ -296,23 +300,21 @@ TEST(Hier, EvaluateHierarchyCompiledEqualsInterpreted)
         hw::catalogMachine("nehalem-i5"), 128);
     const auto t = trace::zipf(512 * 1024, 30000, 0.9, 41);
 
-    eval::HierarchyOptions slow;
-    slow.seed = 41;
-    slow.forceInterpreted = true;
-    eval::HierarchyOptions fast;
-    fast.seed = 41;
-
-    const auto a = eval::evaluateHierarchy(spec, t, slow);
-    const auto b = eval::evaluateHierarchy(spec, t, fast);
+    // The interpreted reference: the hierarchy Machine wires, driven
+    // access by access.
+    cache::Hierarchy ref = eval::buildHierarchy(spec, 41);
+    const hier::RunResult a = hier::runTrace(ref, t);
+    const auto b = eval::evaluateHierarchy(spec, t, 41);
     EXPECT_EQ(a.servedBy, b.servedBy);
     EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.levelNames, b.levelNames);
-    ASSERT_EQ(a.levels.size(), b.levels.size());
-    for (size_t i = 0; i < a.levels.size(); ++i) {
-        EXPECT_EQ(a.levels[i].hits, b.levels[i].hits);
-        EXPECT_EQ(a.levels[i].misses, b.levels[i].misses);
-        EXPECT_EQ(a.levels[i].evictions, b.levels[i].evictions);
-        EXPECT_EQ(a.levels[i].writebacks, b.levels[i].writebacks);
+    ASSERT_EQ(ref.depth(), b.levels.size());
+    for (unsigned i = 0; i < ref.depth(); ++i) {
+        const cache::LevelStats& s = ref.level(i).cache.stats();
+        EXPECT_EQ(ref.level(i).cache.name(), b.levelNames[i]);
+        EXPECT_EQ(s.hits, b.levels[i].hits);
+        EXPECT_EQ(s.misses, b.levels[i].misses);
+        EXPECT_EQ(s.evictions, b.levels[i].evictions);
+        EXPECT_EQ(s.writebacks, b.levels[i].writebacks);
     }
     EXPECT_DOUBLE_EQ(a.amat(), b.amat());
 }

@@ -7,6 +7,7 @@
 
 #include "recap/common/error.hh"
 #include "recap/eval/hierarchy_eval.hh"
+#include "recap/hier/simulate.hh"
 #include "recap/hw/catalog.hh"
 #include "recap/hw/machine.hh"
 #include "recap/trace/generators.hh"
@@ -108,10 +109,11 @@ TEST(HierarchyEval, WithLevelPolicyValidates)
 // Pinned regression values: exact cycle totals and per-level served
 // counts for one classic and one modern/adaptive catalog machine.
 // These freeze the whole simulation contract — policy automata, seed
-// derivation, fill/evict order, the compiled hier:: walk AND its
-// interpreted fallback (both must produce exactly these numbers; the
-// Hier lockstep suites assert the two paths agree access by access).
-// A legitimate behaviour change must update them consciously.
+// derivation, fill/evict order — for evaluateHierarchy's hier:: walk
+// AND for the interpreted cache::Hierarchy reference, which must both
+// produce exactly these numbers (the Hier lockstep suites assert the
+// two agree access by access). A legitimate behaviour change must
+// update them consciously.
 TEST(HierarchyEval, PinnedNehalemAmatAndServedBy)
 {
     const auto spec = hw::reducedSpec(
@@ -126,10 +128,10 @@ TEST(HierarchyEval, PinnedNehalemAmatAndServedBy)
     EXPECT_EQ(result.servedBy[3], 8563u);
     EXPECT_DOUBLE_EQ(result.amat(), 2732358.0 / 40000.0);
 
-    eval::HierarchyOptions interp;
-    interp.forceInterpreted = true;
-    const auto ref = evaluateHierarchy(spec, t, interp);
+    cache::Hierarchy interp = eval::buildHierarchy(spec);
+    const hier::RunResult ref = hier::runTrace(interp, t);
     EXPECT_EQ(ref.totalCycles, result.totalCycles);
+    EXPECT_EQ(ref.servedBy, result.servedBy);
 }
 
 TEST(HierarchyEval, PinnedSkylakeDrripAmatAndServedBy)
@@ -149,6 +151,11 @@ TEST(HierarchyEval, PinnedSkylakeDrripAmatAndServedBy)
     EXPECT_EQ(result.servedBy[2], 20473u);
     EXPECT_EQ(result.servedBy[3], 7986u);
     EXPECT_DOUBLE_EQ(result.amat(), 2842244.0 / 40000.0);
+
+    cache::Hierarchy interp = eval::buildHierarchy(spec);
+    const hier::RunResult ref = hier::runTrace(interp, refs);
+    EXPECT_EQ(ref.totalCycles, result.totalCycles);
+    EXPECT_EQ(ref.servedBy, result.servedBy);
 }
 
 TEST(HierarchyEval, MatchesMachineCounters)

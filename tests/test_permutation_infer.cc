@@ -61,7 +61,8 @@ geometryOf(const hw::MachineSpec& spec)
 
 infer::PermutationInferenceResult
 infer_policy(const std::string& policy, unsigned ways,
-             unsigned voteRepeats = 1, double disturb = 0.0)
+             unsigned voteRepeats = 1, double disturb = 0.0,
+             const PermutationInferenceConfig& cfg = {})
 {
     auto spec = singleLevelSpec(policy, ways);
     hw::NoiseConfig noise;
@@ -71,7 +72,7 @@ infer_policy(const std::string& policy, unsigned ways,
     SetProberConfig pc;
     pc.voteRepeats = voteRepeats;
     SetProber prober(ctx, geometryOf(spec), 0, pc);
-    PermutationInference inference(prober);
+    PermutationInference inference(prober, cfg);
     return inference.run();
 }
 
@@ -168,6 +169,54 @@ TEST(PermutationInfer, SurvivesNoiseWithVoting)
     const auto result = infer_policy("lru", 4, 9, 0.005);
     ASSERT_TRUE(result.isPermutation) << result.failureReason;
     EXPECT_EQ(infer::canonicalPermutationName(*result.policy), "LRU");
+}
+
+TEST(PermutationInfer, AblationSettingsKeepVerdicts)
+{
+    // Linear-scan survival and a disabled spot check probe along a
+    // different path, but must reach the same verdict and refute for
+    // the same reason.
+    PermutationInferenceConfig ablation;
+    ablation.binarySearchSurvival = false;
+    ablation.earlySpotCheck = false;
+    for (const char* policy : {"fifo", "nru", "lru"}) {
+        const auto fast = infer_policy(policy, 8);
+        const auto slow = infer_policy(policy, 8, 1, 0.0, ablation);
+        ASSERT_EQ(fast.isPermutation, slow.isPermutation) << policy;
+        if (fast.isPermutation) {
+            EXPECT_EQ(infer::canonicalPermutationName(*fast.policy),
+                      infer::canonicalPermutationName(*slow.policy))
+                << policy;
+        } else {
+            EXPECT_EQ(fast.failureReason, slow.failureReason) << policy;
+        }
+        EXPECT_NE(slow.loadsUsed, fast.loadsUsed) << policy;
+    }
+}
+
+TEST(PermutationInfer, CostEqualsTheContextDelta)
+{
+    // Every experiment the inference runs is visible in the
+    // measurement context's counters: nothing bypasses it.
+    const auto spec = singleLevelSpec("lru", 8);
+    hw::Machine machine(spec);
+    MeasurementContext ctx(machine);
+    SetProber prober(ctx, geometryOf(spec), 0);
+    const auto result = PermutationInference(prober).run();
+    ASSERT_TRUE(result.isPermutation) << result.failureReason;
+    EXPECT_EQ(result.experimentsUsed, ctx.experimentsRun());
+    EXPECT_EQ(result.loadsUsed, ctx.loadsIssued());
+}
+
+TEST(PermutationInfer, FailedValidationStopsAtFirstMismatch)
+{
+    // QLRU@12 passes the spot check and every hit-permutation
+    // derivation, and is refuted by the first validation round; no
+    // later round may be paid for. Loads are deterministic.
+    const auto result = infer_policy("qlru:H1,M1,R0,U2", 12);
+    EXPECT_FALSE(result.isPermutation);
+    EXPECT_EQ(result.failureReason, "cross-validation mismatch in round 0");
+    EXPECT_EQ(result.loadsUsed, 22775u);
 }
 
 TEST(PermutationInfer, MeasurementCostGrowsPolynomially)

@@ -72,6 +72,20 @@ TEST(Pipeline, SandyBridgeQlruL3)
     EXPECT_FALSE(report.levels[2].adaptive);
 }
 
+TEST(Pipeline, SandyBridgeTable2LoadsPinned)
+{
+    // The Table 2 configuration of sandybridge-i5. Loads are
+    // deterministic, so the machine's measurement cost is pinned
+    // exactly: a probing change that spends more loads for the same
+    // verdicts fails here.
+    const auto report = run_on("sandybridge-i5", 1024);
+    ASSERT_EQ(report.levels.size(), 3u);
+    EXPECT_TRUE(report.levels[2].verdict.rfind("QLRU(H1,M1,R0,U2)", 0)
+                == 0)
+        << report.levels[2].verdict;
+    EXPECT_EQ(report.totalLoads, 1'793'463u);
+}
+
 TEST(Pipeline, IvyBridgeAdaptiveL3)
 {
     const auto report = run_on("ivybridge-i5", 256);
