@@ -52,6 +52,14 @@ require(bool cond, const std::string& what)
         throw UsageError(what);
 }
 
+/** require() for literal messages: no string is built unless it fails. */
+inline void
+require(bool cond, const char* what)
+{
+    if (!cond)
+        throw UsageError(what);
+}
+
 /**
  * Checks an internal invariant.
  *
@@ -60,6 +68,14 @@ require(bool cond, const std::string& what)
  */
 inline void
 ensure(bool cond, const std::string& what)
+{
+    if (!cond)
+        throw LogicBug(what);
+}
+
+/** ensure() for literal messages: no string is built unless it fails. */
+inline void
+ensure(bool cond, const char* what)
 {
     if (!cond)
         throw LogicBug(what);

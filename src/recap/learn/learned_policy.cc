@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::learn
@@ -226,6 +227,71 @@ LearnedPolicy::stateKey() const
             os << entry << ",";
     }
     return os.str();
+}
+
+unsigned
+LearnedPolicy::stateBits() const
+{
+    return log2Ceil(machine_.numStates());
+}
+
+unsigned
+LearnedPolicy::entryBits() const
+{
+    // Concrete: symbol + 1, so kNone packs as 0. Roles: a way, with
+    // ways_ standing for kEvicted.
+    return semantics_ == SymbolSemantics::kConcreteBlocks
+        ? log2Ceil(uint64_t{machine_.alphabet()} + 1)
+        : log2Ceil(uint64_t{ways_} + 1);
+}
+
+unsigned
+LearnedPolicy::lengthBits() const
+{
+    // The recency list holds at most alphabet - 1 entries.
+    return semantics_ == SymbolSemantics::kConcreteBlocks
+        ? 0 : log2Ceil(machine_.alphabet());
+}
+
+bool
+LearnedPolicy::packState(policy::PackedState& out) const
+{
+    const uint64_t slots = semantics_ == SymbolSemantics::kConcreteBlocks
+        ? ways_ : machine_.alphabet() - 1;
+    if (stateBits() + lengthBits() + slots * entryBits() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packer.put(state_, stateBits());
+    if (semantics_ == SymbolSemantics::kConcreteBlocks) {
+        for (int sym : assignment_)
+            packer.put(static_cast<uint64_t>(sym + 1), entryBits());
+    } else {
+        packer.put(recency_.size(), lengthBits());
+        for (int entry : recency_) {
+            packer.put(entry == kEvicted ? ways_
+                                         : static_cast<uint64_t>(entry),
+                       entryBits());
+        }
+    }
+    out = packer.bits();
+    return true;
+}
+
+void
+LearnedPolicy::unpackState(const policy::PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    state_ = static_cast<unsigned>(unpacker.get(stateBits()));
+    if (semantics_ == SymbolSemantics::kConcreteBlocks) {
+        for (int& sym : assignment_)
+            sym = static_cast<int>(unpacker.get(entryBits())) - 1;
+    } else {
+        recency_.resize(unpacker.get(lengthBits()));
+        for (int& entry : recency_) {
+            const auto raw = unpacker.get(entryBits());
+            entry = raw == ways_ ? kEvicted : static_cast<int>(raw);
+        }
+    }
 }
 
 } // namespace recap::learn

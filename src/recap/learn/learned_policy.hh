@@ -57,6 +57,8 @@ class LearnedPolicy final : public policy::ReplacementPolicy
     std::string name() const override;
     policy::PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(policy::PackedState& out) const override;
+    void unpackState(const policy::PackedState& in) override;
 
     /** The wrapped machine. */
     const MealyMachine& machine() const { return machine_; }
@@ -67,6 +69,11 @@ class LearnedPolicy final : public policy::ReplacementPolicy
   private:
     /** Machine symbol currently standing for @p way's block. */
     Symbol symbolOf(policy::Way way) const;
+
+    /** Packed field widths: machine state, then the way tracking. */
+    unsigned stateBits() const;
+    unsigned entryBits() const;
+    unsigned lengthBits() const;
 
     MealyMachine machine_;
     SymbolSemantics semantics_;

@@ -8,9 +8,9 @@
  * ReplacementPolicy interface pays a virtual touch/fill/victim
  * dispatch plus unique_ptr clone churn on every simulated access.
  * compilePolicy() enumerates the reachable control states of a policy
- * (breadth-first over ReplacementPolicy::stateKey, the same
- * canonicalization the learn:: extraction machinery builds on) into
- * dense state x input -> state transition tables:
+ * breadth-first over ReplacementPolicy::packState() — fixed-width
+ * (at most 128-bit) encodings, equal exactly when the stateKeys are —
+ * into dense state x input -> state transition tables:
  *
  *     touchNext[state * ways + w]  state after a hit on way w
  *     fillNext [state * ways + w]  state after filling way w
@@ -20,12 +20,19 @@
  * an integer copy, and the batch kernels in eval/ and query/ can keep
  * per-set state in structure-of-arrays form.
  *
- * Policies whose reachable state space exceeds the budget (the
- * stochastic "random" policy, whose stateKey encodes an unbounded
- * stream position; big way-order policies such as LRU at k = 16)
- * simply fail to compile: compilePolicy() returns nullptr and every
- * consumer falls back to the interpreted automaton, with behaviour
- * pinned bit-identical by tests/test_compiled_policy.cc.
+ * One scratch policy unpacks, steps and packs every edge, and the
+ * states live in a flat open-addressing index, so no edge clones a
+ * policy or builds a string; the stateKey() strings are built once
+ * per state at the end.
+ *
+ * Policies that cannot pack (the stochastic "random" policy, whose
+ * stream position is unbounded; the metadata consumers; any state
+ * wider than 128 bits) are refused at once. Policies whose reachable
+ * state space exceeds the budget (big way-order policies such as LRU
+ * at k = 16) are refused once the enumeration passes it. Either way
+ * compilePolicy() returns nullptr and every consumer falls back to
+ * the interpreted automaton, with behaviour pinned bit-identical by
+ * tests/test_compiled_policy.cc.
  */
 
 #ifndef RECAP_POLICY_COMPILED_HH_
@@ -36,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "recap/common/error.hh"
 #include "recap/policy/policy.hh"
 
 namespace recap::policy
@@ -49,13 +57,17 @@ struct CompileBudget
      * admits every catalog policy at k <= 8 except the throttled
      * insertion policies (BIP/BRRIP multiply the base state count by
      * their throttle) and covers PLRU/NRU-style policies up to
-     * k = 16; LRU-order policies at k = 16 (16! states) and the
-     * stochastic "random" policy (unbounded stream counter) exceed it
-     * and fall back to interpretation.
+     * k = 16; LRU-order policies at k = 16 (16! states) exceed it and
+     * fall back to interpretation. The stochastic "random" policy
+     * never gets this far: it cannot pack, so no budget compiles it.
      */
     uint64_t maxStates = 1u << 17;
 
-    /** Abort when the transition tables would exceed this size. */
+    /**
+     * Abort when the three tables plus the stateKey() strings would
+     * exceed this size. The enumeration stops early on the table
+     * bytes alone; the keys are counted once they are built.
+     */
     uint64_t maxTableBytes = uint64_t{96} << 20;
 };
 
@@ -247,6 +259,20 @@ class CompiledPolicy : public ReplacementPolicy
     std::string stateKey() const override
     {
         return table_->stateKey(state_);
+    }
+
+    /** The state index; distinct indices carry distinct keys. */
+    bool packState(PackedState& out) const override
+    {
+        out = PackedState{state_, 0};
+        return true;
+    }
+
+    void unpackState(const PackedState& in) override
+    {
+        require(in.lo < table_->numStates() && in.hi == 0,
+                "CompiledPolicy: packed state out of range");
+        state_ = static_cast<uint32_t>(in.lo);
     }
 
     /** The shared table this instance runs on. */

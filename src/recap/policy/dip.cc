@@ -1,5 +1,6 @@
 #include "recap/policy/dip.hh"
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -63,6 +64,29 @@ DipPolicy::stateKey() const
 {
     return RecencyStackPolicy::stateKey() + ":" +
            std::to_string(fillCount_) + ":" + duel_.key();
+}
+
+bool
+DipPolicy::packState(PackedState& out) const
+{
+    const unsigned countBits = log2Ceil(throttle_);
+    if (orderBits() + countBits + duel_.packBits() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packOrder(packer);
+    packer.put(fillCount_, countBits);
+    duel_.pack(packer);
+    out = packer.bits();
+    return true;
+}
+
+void
+DipPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpackOrder(unpacker);
+    fillCount_ = static_cast<unsigned>(unpacker.get(log2Ceil(throttle_)));
+    duel_.unpack(unpacker);
 }
 
 } // namespace recap::policy

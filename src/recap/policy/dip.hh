@@ -51,6 +51,8 @@ class DipPolicy final : public RecencyStackPolicy
     std::string name() const override { return "DIP"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     /** White-box accessors for the convergence property tests. */
     unsigned psel() const { return duel_.psel(); }

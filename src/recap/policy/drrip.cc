@@ -1,5 +1,6 @@
 #include "recap/policy/drrip.hh"
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -71,6 +72,29 @@ DrripPolicy::stateKey() const
 {
     return SrripPolicy::stateKey() + ":" +
            std::to_string(fillCount_) + ":" + duel_.key();
+}
+
+bool
+DrripPolicy::packState(PackedState& out) const
+{
+    const unsigned countBits = log2Ceil(throttle_);
+    if (rrpvBits() + countBits + duel_.packBits() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packRrpvs(packer);
+    packer.put(fillCount_, countBits);
+    duel_.pack(packer);
+    out = packer.bits();
+    return true;
+}
+
+void
+DrripPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpackRrpvs(unpacker);
+    fillCount_ = static_cast<unsigned>(unpacker.get(log2Ceil(throttle_)));
+    duel_.unpack(unpacker);
 }
 
 } // namespace recap::policy

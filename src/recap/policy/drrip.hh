@@ -46,6 +46,8 @@ class DrripPolicy final : public SrripPolicy
     std::string name() const override;
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     /** White-box accessors for the convergence property tests. */
     unsigned psel() const { return duel_.psel(); }

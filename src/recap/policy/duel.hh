@@ -28,8 +28,10 @@
 #define RECAP_POLICY_DUEL_HH_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -47,15 +49,20 @@ class TemporalDuel
   public:
     /**
      * @param pselBits Saturating-counter width in bits, in [1, 16].
-     * @param epochLen Inputs per leader epoch; must be >= 1.
+     * @param epochLen Inputs per leader epoch; must be >= 1, and
+     *                 the 4*epochLen cycle must fit in unsigned.
      */
     TemporalDuel(unsigned pselBits, unsigned epochLen)
-        : pselMax_((1u << pselBits) - 1), epochLen_(epochLen)
+        : pselMax_(static_cast<unsigned>(lowMask(pselBits))),
+          epochLen_(epochLen)
     {
         require(pselBits >= 1 && pselBits <= 16,
                 "TemporalDuel: pselBits must be in [1,16]");
         require(epochLen >= 1,
                 "TemporalDuel: epochLen must be >= 1");
+        require(epochLen <= std::numeric_limits<unsigned>::max() / 4,
+                "TemporalDuel: epochLen must be < 2^30 (the epoch "
+                "cycle is 4*epochLen inputs)");
         reset();
     }
 
@@ -106,7 +113,26 @@ class TemporalDuel
         return std::to_string(psel_) + "@" + std::to_string(pos_);
     }
 
+    /** Width of the pack() fragment: PSEL bits plus epoch-clock bits. */
+    unsigned packBits() const { return pselWidth() + posWidth(); }
+
+    /** Packed counterpart of key(), for the owning policy's packState(). */
+    void pack(BitPacker& out) const
+    {
+        out.put(psel_, pselWidth());
+        out.put(pos_, posWidth());
+    }
+
+    void unpack(BitUnpacker& in)
+    {
+        psel_ = static_cast<unsigned>(in.get(pselWidth()));
+        pos_ = static_cast<unsigned>(in.get(posWidth()));
+    }
+
   private:
+    unsigned pselWidth() const { return log2Ceil(uint64_t{pselMax_} + 1); }
+    unsigned posWidth() const { return log2Ceil(uint64_t{4} * epochLen_); }
+
     unsigned pselMax_;
     unsigned epochLen_;
     unsigned psel_ = 0;

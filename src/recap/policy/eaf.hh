@@ -46,6 +46,17 @@ class EafPolicy final : public RecencyStackPolicy
     bool usesMeta() const override { return true; }
     void beginAccess(const AccessMeta& meta) override;
 
+    /** Metadata consumers never compile: no packed encoding of the
+     *  filter and block map, and the inherited one would drop it. */
+    bool packState(PackedState& out) const override
+    {
+        return ReplacementPolicy::packState(out);
+    }
+    void unpackState(const PackedState& in) override
+    {
+        ReplacementPolicy::unpackState(in);
+    }
+
     /** True iff @p block is currently in the filter (for tests). */
     bool filterContains(uint64_t block) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -41,8 +42,7 @@ FifoPolicy::fill(Way way)
     checkWay(way);
     auto it = std::find(queue_.begin(), queue_.end(), way);
     ensure(it != queue_.end(), "FifoPolicy: way missing in queue");
-    queue_.erase(it);
-    queue_.push_back(way);
+    std::rotate(it, it + 1, queue_.end());
 }
 
 PolicyPtr
@@ -59,6 +59,25 @@ FifoPolicy::stateKey() const
     for (Way w : queue_)
         key.push_back(static_cast<char>('a' + w));
     return key;
+}
+
+bool
+FifoPolicy::packState(PackedState& out) const
+{
+    const unsigned width = log2Ceil(ways_);
+    if (ways_ * width > kBits128Width)
+        return false;
+    BitPacker packer;
+    packer.putAll(queue_, width);
+    out = packer.bits();
+    return true;
+}
+
+void
+FifoPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpacker.getAll(queue_, log2Ceil(ways_));
 }
 
 } // namespace recap::policy

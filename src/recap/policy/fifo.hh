@@ -29,6 +29,8 @@ class FifoPolicy final : public ReplacementPolicy
     std::string name() const override { return "FIFO"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     /** Current insertion order (index 0 = oldest = next victim). */
     std::vector<Way> insertionOrder() const { return queue_; }

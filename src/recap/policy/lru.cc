@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -45,13 +46,53 @@ RecencyStackPolicy::stateKey() const
     return key;
 }
 
+bool
+RecencyStackPolicy::packState(PackedState& out) const
+{
+    if (orderBits() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packOrder(packer);
+    out = packer.bits();
+    return true;
+}
+
+void
+RecencyStackPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpackOrder(unpacker);
+}
+
+unsigned
+RecencyStackPolicy::orderBits() const
+{
+    return ways_ * log2Ceil(ways_);
+}
+
+void
+RecencyStackPolicy::packOrder(BitPacker& out) const
+{
+    out.putAll(stack_, log2Ceil(ways_));
+}
+
+void
+RecencyStackPolicy::unpackOrder(BitUnpacker& in)
+{
+    in.getAll(stack_, log2Ceil(ways_));
+}
+
 void
 RecencyStackPolicy::moveToMru(Way way)
 {
-    auto it = std::find(stack_.begin(), stack_.end(), way);
-    ensure(it != stack_.end(), "RecencyStackPolicy: way missing in stack");
-    stack_.erase(it);
-    stack_.insert(stack_.begin(), way);
+    // One pass: slide entries down until the old slot of @p way.
+    Way carried = way;
+    for (Way& slot : stack_) {
+        std::swap(slot, carried);
+        if (carried == way)
+            return;
+    }
+    ensure(false, "RecencyStackPolicy: way missing in stack");
 }
 
 void
@@ -59,8 +100,9 @@ RecencyStackPolicy::moveToLru(Way way)
 {
     auto it = std::find(stack_.begin(), stack_.end(), way);
     ensure(it != stack_.end(), "RecencyStackPolicy: way missing in stack");
-    stack_.erase(it);
-    stack_.push_back(way);
+    for (; it + 1 != stack_.end(); ++it)
+        *it = *(it + 1);
+    *it = way;
 }
 
 unsigned
@@ -142,6 +184,27 @@ BipPolicy::stateKey() const
 {
     return RecencyStackPolicy::stateKey() + ":" +
            std::to_string(fillCount_);
+}
+
+bool
+BipPolicy::packState(PackedState& out) const
+{
+    const unsigned countBits = log2Ceil(throttle_);
+    if (orderBits() + countBits > kBits128Width)
+        return false;
+    BitPacker packer;
+    packOrder(packer);
+    packer.put(fillCount_, countBits);
+    out = packer.bits();
+    return true;
+}
+
+void
+BipPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpackOrder(unpacker);
+    fillCount_ = static_cast<unsigned>(unpacker.get(log2Ceil(throttle_)));
 }
 
 } // namespace recap::policy

@@ -31,6 +31,10 @@ class RecencyStackPolicy : public ReplacementPolicy
     Way victim() const override;
     std::string stateKey() const override;
 
+    /** Packs the recency order (LRU, LIP); subclasses append. */
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
+
     /** Exposes the current recency order (index 0 = MRU) for tests. */
     std::vector<Way> recencyOrder() const { return stack_; }
 
@@ -43,6 +47,12 @@ class RecencyStackPolicy : public ReplacementPolicy
 
     /** Position of @p way in the stack (0 = MRU). */
     unsigned positionOf(Way way) const;
+
+    /** Packed width of the order: ceil(log2 ways) bits per position. */
+    unsigned orderBits() const;
+
+    void packOrder(BitPacker& out) const;
+    void unpackOrder(BitUnpacker& in);
 
     /** stack_[i] = way at recency position i; 0 = MRU. */
     std::vector<Way> stack_;
@@ -94,6 +104,8 @@ class BipPolicy final : public RecencyStackPolicy
     std::string name() const override { return "BIP"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     unsigned throttle() const { return throttle_; }
 

@@ -1,5 +1,6 @@
 #include "recap/policy/nru.hh"
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -63,6 +64,24 @@ NruPolicy::stateKey() const
     for (bool b : bits_)
         key.push_back(b ? '1' : '0');
     return key;
+}
+
+bool
+NruPolicy::packState(PackedState& out) const
+{
+    if (bits_.size() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packer.putAll(bits_, 1);
+    out = packer.bits();
+    return true;
+}
+
+void
+NruPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpacker.getAll(bits_, 1);
 }
 
 bool

@@ -8,6 +8,7 @@
 #ifndef RECAP_POLICY_NRU_HH_
 #define RECAP_POLICY_NRU_HH_
 
+#include <cstdint>
 #include <vector>
 
 #include "recap/policy/policy.hh"
@@ -40,14 +41,19 @@ class NruPolicy final : public ReplacementPolicy
     std::string name() const override { return "NRU"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     /** Raw reference bits, for white-box tests. */
-    std::vector<bool> referenceBits() const { return bits_; }
+    std::vector<bool> referenceBits() const
+    {
+        return {bits_.begin(), bits_.end()};
+    }
 
   private:
     bool allSet() const;
 
-    std::vector<bool> bits_;
+    std::vector<uint8_t> bits_; ///< one 0/1 entry per bit
 };
 
 } // namespace recap::policy

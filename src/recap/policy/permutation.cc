@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 #include "recap/policy/plru.hh"
 #include "recap/policy/set_model.hh"
@@ -96,8 +97,7 @@ PermutationPolicy::fill(Way way)
     }
     auto it = std::find(order_.begin(), order_.end(), way);
     ensure(it != order_.end(), "PermutationPolicy: way missing in order");
-    order_.erase(it);
-    order_.insert(order_.begin(), way);
+    std::rotate(order_.begin(), it, it + 1);
     applyPermutation(missPerm_);
 }
 
@@ -121,6 +121,25 @@ PermutationPolicy::stateKey() const
     for (Way w : order_)
         key.push_back(static_cast<char>('a' + w));
     return key;
+}
+
+bool
+PermutationPolicy::packState(PackedState& out) const
+{
+    const unsigned width = log2Ceil(ways_);
+    if (ways_ * width > kBits128Width)
+        return false;
+    BitPacker packer;
+    packer.putAll(order_, width);
+    out = packer.bits();
+    return true;
+}
+
+void
+PermutationPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpacker.getAll(order_, log2Ceil(ways_));
 }
 
 Way
@@ -313,10 +332,10 @@ PermutationPolicy::derive(const ReplacementPolicy& proto,
 void
 PermutationPolicy::applyPermutation(const Permutation& pi)
 {
-    std::vector<Way> next(ways_);
+    next_.resize(ways_);
     for (unsigned j = 0; j < ways_; ++j)
-        next[pi[j]] = order_[j];
-    order_ = std::move(next);
+        next_[pi[j]] = order_[j];
+    order_.swap(next_);
 }
 
 unsigned

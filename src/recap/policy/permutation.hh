@@ -88,6 +88,8 @@ class PermutationPolicy final : public ReplacementPolicy
     std::string name() const override;
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     const std::vector<Permutation>& hitPermutations() const
     {
@@ -150,6 +152,8 @@ class PermutationPolicy final : public ReplacementPolicy
     std::vector<Way> initialOrder_;
     /** order_[pos] = way at eviction position pos (0 = next victim). */
     std::vector<Way> order_;
+    /** Buffer applyPermutation() builds the next order in. */
+    std::vector<Way> next_;
 };
 
 } // namespace recap::policy

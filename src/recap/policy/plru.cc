@@ -64,6 +64,24 @@ TreePlruPolicy::stateKey() const
     return key;
 }
 
+bool
+TreePlruPolicy::packState(PackedState& out) const
+{
+    if (bits_.size() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packer.putAll(bits_, 1);
+    out = packer.bits();
+    return true;
+}
+
+void
+TreePlruPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpacker.getAll(bits_, 1);
+}
+
 void
 TreePlruPolicy::markAccessed(Way way)
 {
@@ -129,6 +147,24 @@ BitPlruPolicy::stateKey() const
     for (bool b : bits_)
         key.push_back(b ? '1' : '0');
     return key;
+}
+
+bool
+BitPlruPolicy::packState(PackedState& out) const
+{
+    if (bits_.size() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packer.putAll(bits_, 1);
+    out = packer.bits();
+    return true;
+}
+
+void
+BitPlruPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpacker.getAll(bits_, 1);
 }
 
 void

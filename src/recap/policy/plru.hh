@@ -7,6 +7,7 @@
 #ifndef RECAP_POLICY_PLRU_HH_
 #define RECAP_POLICY_PLRU_HH_
 
+#include <cstdint>
 #include <vector>
 
 #include "recap/policy/policy.hh"
@@ -36,16 +37,21 @@ class TreePlruPolicy final : public ReplacementPolicy
     std::string name() const override { return "PLRU"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     /** Raw tree bits in heap order, for white-box tests. */
-    std::vector<bool> treeBits() const { return bits_; }
+    std::vector<bool> treeBits() const
+    {
+        return {bits_.begin(), bits_.end()};
+    }
 
   private:
     /** Points every node on the path to @p way away from it. */
     void markAccessed(Way way);
 
     /** bits_[n]: 0 -> colder side is left child, 1 -> right child. */
-    std::vector<bool> bits_;
+    std::vector<uint8_t> bits_;
     unsigned levels_;
 };
 
@@ -69,14 +75,19 @@ class BitPlruPolicy final : public ReplacementPolicy
     std::string name() const override { return "BitPLRU"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     /** Raw MRU bits, for white-box tests. */
-    std::vector<bool> mruBits() const { return bits_; }
+    std::vector<bool> mruBits() const
+    {
+        return {bits_.begin(), bits_.end()};
+    }
 
   private:
     void mark(Way way);
 
-    std::vector<bool> bits_;
+    std::vector<uint8_t> bits_; ///< one 0/1 entry per bit
 };
 
 } // namespace recap::policy

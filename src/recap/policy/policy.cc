@@ -12,9 +12,11 @@ ReplacementPolicy::ReplacementPolicy(unsigned ways)
 }
 
 void
-ReplacementPolicy::checkWay(Way way) const
+ReplacementPolicy::unpackState(const PackedState& in)
 {
-    require(way < ways_, "ReplacementPolicy: way index out of range");
+    (void)in;
+    throw UsageError("ReplacementPolicy: " + name() +
+                     " has no packed state encoding");
 }
 
 } // namespace recap::policy

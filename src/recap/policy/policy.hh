@@ -20,6 +20,9 @@
 #include <memory>
 #include <string>
 
+#include "recap/common/bitops.hh"
+#include "recap/common/error.hh"
+
 namespace recap::policy
 {
 
@@ -44,6 +47,12 @@ struct AccessMeta
     uint64_t pc = 0;    ///< program counter of the access
     bool hasPc = false;
 };
+
+/**
+ * Fixed-width encoding of one control state (see
+ * ReplacementPolicy::packState()).
+ */
+using PackedState = Bits128;
 
 /**
  * A replacement policy automaton for a single cache set.
@@ -100,6 +109,33 @@ class ReplacementPolicy
     virtual std::string stateKey() const = 0;
 
     /**
+     * Encodes the current control state in at most 128 bits, the
+     * clone-free counterpart of stateKey() that compilePolicy()
+     * enumerates over. For two instances built with the same
+     * arguments, the packs are equal exactly when the stateKey()s
+     * are.
+     *
+     * @return false when this policy cannot pack (the default). The
+     *         answer depends only on the constructor arguments, never
+     *         on the current state: the stochastic policy ("random",
+     *         whose stream position is unbounded), the metadata
+     *         consumers, and any instance whose state needs more than
+     *         128 bits say no.
+     */
+    virtual bool packState(PackedState& out) const
+    {
+        (void)out;
+        return false;
+    }
+
+    /**
+     * Restores a state that packState() produced on an instance
+     * built with the same arguments. Only meaningful where
+     * packState() succeeds; the default throws UsageError.
+     */
+    virtual void unpackState(const PackedState& in);
+
+    /**
      * True iff the policy consumes AccessMeta. Meta-consuming
      * automata are excluded from table compilation (their behaviour
      * is not a function of way-index inputs alone) and drivers must
@@ -116,7 +152,10 @@ class ReplacementPolicy
 
   protected:
     /** Throws UsageError unless 0 <= way < ways(). */
-    void checkWay(Way way) const;
+    void checkWay(Way way) const
+    {
+        require(way < ways_, "ReplacementPolicy: way index out of range");
+    }
 
     unsigned ways_;
 };

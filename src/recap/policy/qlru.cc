@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -149,6 +150,25 @@ QlruPolicy::stateKey() const
     for (unsigned a : age_)
         key.push_back(static_cast<char>('0' + a));
     return key;
+}
+
+bool
+QlruPolicy::packState(PackedState& out) const
+{
+    // Two bits per line: ages are in [0, kMaxAge].
+    if (2 * age_.size() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packer.putAll(age_, 2);
+    out = packer.bits();
+    return true;
+}
+
+void
+QlruPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpacker.getAll(age_, 2);
 }
 
 Way

@@ -99,6 +99,8 @@ class QlruPolicy final : public ReplacementPolicy
     std::string name() const override;
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     const QlruParams& params() const { return params_; }
 

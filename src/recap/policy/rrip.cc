@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -9,7 +10,7 @@ namespace recap::policy
 
 SrripPolicy::SrripPolicy(unsigned ways, unsigned bits)
     : ReplacementPolicy(ways), bits_(bits),
-      maxRrpv_((1u << bits) - 1)
+      maxRrpv_(static_cast<unsigned>(lowMask(bits)))
 {
     require(bits >= 1 && bits <= 8, "SrripPolicy: bits must be in [1,8]");
     SrripPolicy::reset();
@@ -32,23 +33,11 @@ SrripPolicy::touch(Way way)
 Way
 SrripPolicy::victim() const
 {
-    Way v = findVictim(rrpv_);
-    if (v < ways_)
-        return v;
-    // Functionally age a copy until a victim appears.
-    std::vector<unsigned> aged = rrpv_;
-    while (true) {
-        const unsigned max_seen = *std::max_element(aged.begin(),
-                                                    aged.end());
-        const unsigned delta = maxRrpv_ - max_seen;
-        for (auto& r : aged)
-            r += delta ? delta : 1;
-        for (auto& r : aged)
-            r = std::min(r, maxRrpv_);
-        v = findVictim(aged);
-        if (v < ways_)
-            return v;
-    }
+    // Aging lifts every line by (max - highest RRPV), so the victim,
+    // the lowest-index line at max once aged, is the lowest-index
+    // line of highest RRPV.
+    return static_cast<Way>(
+        std::max_element(rrpv_.begin(), rrpv_.end()) - rrpv_.begin());
 }
 
 void
@@ -82,6 +71,24 @@ SrripPolicy::stateKey() const
     return key;
 }
 
+bool
+SrripPolicy::packState(PackedState& out) const
+{
+    if (rrpvBits() > kBits128Width)
+        return false;
+    BitPacker packer;
+    packRrpvs(packer);
+    out = packer.bits();
+    return true;
+}
+
+void
+SrripPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpackRrpvs(unpacker);
+}
+
 unsigned
 SrripPolicy::insertionRrpv()
 {
@@ -91,24 +98,12 @@ SrripPolicy::insertionRrpv()
 void
 SrripPolicy::ageUntilVictimExists()
 {
-    if (findVictim(rrpv_) < ways_)
-        return;
-    const unsigned max_seen = *std::max_element(rrpv_.begin(),
-                                                rrpv_.end());
-    const unsigned delta = maxRrpv_ - max_seen;
-    for (auto& r : rrpv_)
-        r = std::min(r + (delta ? delta : 1), maxRrpv_);
-    ensure(findVictim(rrpv_) < ways_,
-           "SrripPolicy: aging failed to expose a victim");
-}
-
-Way
-SrripPolicy::findVictim(const std::vector<unsigned>& rrpv) const
-{
-    for (unsigned w = 0; w < ways_; ++w)
-        if (rrpv[w] == maxRrpv_)
-            return w;
-    return ways_;
+    const unsigned highest = *std::max_element(rrpv_.begin(),
+                                               rrpv_.end());
+    if (highest < maxRrpv_) {
+        for (auto& r : rrpv_)
+            r += maxRrpv_ - highest;
+    }
 }
 
 BrripPolicy::BrripPolicy(unsigned ways, unsigned bits, unsigned throttle)
@@ -140,6 +135,27 @@ std::string
 BrripPolicy::stateKey() const
 {
     return SrripPolicy::stateKey() + ":" + std::to_string(fillCount_);
+}
+
+bool
+BrripPolicy::packState(PackedState& out) const
+{
+    const unsigned countBits = log2Ceil(throttle_);
+    if (rrpvBits() + countBits > kBits128Width)
+        return false;
+    BitPacker packer;
+    packRrpvs(packer);
+    packer.put(fillCount_, countBits);
+    out = packer.bits();
+    return true;
+}
+
+void
+BrripPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    unpackRrpvs(unpacker);
+    fillCount_ = static_cast<unsigned>(unpacker.get(log2Ceil(throttle_)));
 }
 
 unsigned

@@ -42,6 +42,10 @@ class SrripPolicy : public ReplacementPolicy
     PolicyPtr clone() const override;
     std::string stateKey() const override;
 
+    /** Packs the RRPVs (SRRIP); subclasses append. */
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
+
     unsigned maxRrpv() const { return maxRrpv_; }
 
     /** Raw RRPVs, for white-box tests. */
@@ -54,8 +58,11 @@ class SrripPolicy : public ReplacementPolicy
     /** Ages all lines so at least one reaches maxRrpv_. */
     void ageUntilVictimExists();
 
-    /** Lowest-index way with RRPV == maxRrpv_, or ways() if none. */
-    Way findVictim(const std::vector<unsigned>& rrpv) const;
+    /** Packed width of the RRPVs: bits_ per line. */
+    unsigned rrpvBits() const { return ways_ * bits_; }
+
+    void packRrpvs(BitPacker& out) const { out.putAll(rrpv_, bits_); }
+    void unpackRrpvs(BitUnpacker& in) { in.getAll(rrpv_, bits_); }
 
     unsigned bits_;
     unsigned maxRrpv_;
@@ -77,6 +84,8 @@ class BrripPolicy final : public SrripPolicy
     std::string name() const override;
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
   protected:
     unsigned insertionRrpv() override;

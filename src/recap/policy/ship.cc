@@ -1,5 +1,6 @@
 #include "recap/policy/ship.hh"
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -8,7 +9,7 @@ namespace recap::policy
 ShipPolicy::ShipPolicy(unsigned ways, unsigned bits, unsigned sigBits,
                        unsigned ctrBits)
     : SrripPolicy(ways, bits), sigBits_(sigBits),
-      ctrMax_((1u << ctrBits) - 1)
+      ctrMax_(static_cast<unsigned>(lowMask(ctrBits)))
 {
     require(ways >= 2, "ShipPolicy: needs at least 2 ways");
     require(sigBits >= 1 && sigBits <= 14,

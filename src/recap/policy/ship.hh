@@ -47,6 +47,17 @@ class ShipPolicy final : public SrripPolicy
     bool usesMeta() const override { return true; }
     void beginAccess(const AccessMeta& meta) override;
 
+    /** Metadata consumers never compile: no packed encoding of the
+     *  signature table, and the inherited one would drop it. */
+    bool packState(PackedState& out) const override
+    {
+        return ReplacementPolicy::packState(out);
+    }
+    void unpackState(const PackedState& in) override
+    {
+        ReplacementPolicy::unpackState(in);
+    }
+
     /** SHCT counter for @p signature, for white-box tests. */
     unsigned shctAt(unsigned signature) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "recap/common/bitops.hh"
 #include "recap/common/error.hh"
 
 namespace recap::policy
@@ -77,6 +78,34 @@ SlruPolicy::stateKey() const
     for (Way w : probation_)
         key.push_back(static_cast<char>('a' + w));
     return key;
+}
+
+bool
+SlruPolicy::packState(PackedState& out) const
+{
+    // The protected occupancy, then both segments' ways in key order.
+    const unsigned sizeBits = log2Ceil(protectedWays_ + uint64_t{1});
+    const unsigned width = log2Ceil(ways_);
+    if (sizeBits + ways_ * width > kBits128Width)
+        return false;
+    BitPacker packer;
+    packer.put(protected_.size(), sizeBits);
+    packer.putAll(protected_, width);
+    packer.putAll(probation_, width);
+    out = packer.bits();
+    return true;
+}
+
+void
+SlruPolicy::unpackState(const PackedState& in)
+{
+    BitUnpacker unpacker(in);
+    const auto held = static_cast<std::size_t>(
+        unpacker.get(log2Ceil(protectedWays_ + uint64_t{1})));
+    protected_.resize(held);
+    probation_.resize(ways_ - held);
+    unpacker.getAll(protected_, log2Ceil(ways_));
+    unpacker.getAll(probation_, log2Ceil(ways_));
 }
 
 void

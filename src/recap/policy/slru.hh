@@ -47,6 +47,8 @@ class SlruPolicy final : public ReplacementPolicy
     std::string name() const override { return "SLRU"; }
     PolicyPtr clone() const override;
     std::string stateKey() const override;
+    bool packState(PackedState& out) const override;
+    void unpackState(const PackedState& in) override;
 
     unsigned protectedCapacity() const { return protectedWays_; }
 

@@ -21,6 +21,7 @@
 
 #include "recap/common/error.hh"
 #include "recap/common/rng.hh"
+#include "recap/policy/compiled.hh"
 #include "recap/policy/dip.hh"
 #include "recap/policy/drrip.hh"
 #include "recap/policy/duel.hh"
@@ -86,6 +87,39 @@ TEST(TemporalDuel, ValidatesParameters)
     EXPECT_THROW(TemporalDuel(0, 4), UsageError);
     EXPECT_THROW(TemporalDuel(17, 4), UsageError);
     EXPECT_THROW(TemporalDuel(4, 0), UsageError);
+}
+
+/**
+ * Regression: the 4*epochLen cycle used to wrap to 0 at epochLen
+ * 2^30, so a spec the factory accepted died with SIGFPE on its first
+ * access. Such epochs are now usage errors, and the largest
+ * admissible one steps.
+ */
+TEST(TemporalDuel, RejectsEpochLenWhoseCycleOverflows)
+{
+    EXPECT_THROW(TemporalDuel(4, 1u << 30), UsageError);
+    EXPECT_THROW(TemporalDuel(4, 0xFFFFFFFFu), UsageError);
+    for (const char* spec :
+         {"dip:16,4,1073741824", "drrip:2,16,4,1073741824",
+          "dip:16,4,2147483648", "drrip:2,16,4,4294967295"}) {
+        EXPECT_THROW(makePolicy(spec, 4), UsageError) << spec;
+        EXPECT_FALSE(isKnownPolicySpec(spec)) << spec;
+        EXPECT_EQ(compiledTableFor(spec, 4), nullptr) << spec;
+    }
+
+    TemporalDuel duel(4, (1u << 30) - 1);
+    duel.advance();
+    EXPECT_EQ(duel.mode(), DuelMode::kLeaderA);
+
+    for (const char* spec :
+         {"dip:16,4,1073741823", "drrip:2,16,4,1073741823"}) {
+        PolicyPtr policy = makePolicy(spec, 4);
+        for (unsigned w = 0; w < 64; ++w) {
+            policy->fill(policy->victim());
+            policy->touch(w % 4);
+        }
+        EXPECT_LT(policy->victim(), 4u) << spec;
+    }
 }
 
 // ---------------------------------------------- convergence traces
