@@ -1,16 +1,13 @@
 #include "recap/eval/predictability.hh"
 
-#include <deque>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 #include <vector>
 
 #include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
 #include "recap/policy/compiled.hh"
 #include "recap/policy/factory.hh"
-#include "recap/policy/set_model.hh"
+#include "recap/policy/state_space.hh"
 
 namespace recap::eval
 {
@@ -19,128 +16,193 @@ namespace
 {
 
 using policy::BlockId;
-using policy::PolicyPtr;
-using policy::SetModel;
+using policy::ReplacementPolicy;
+using policy::SetStates;
 
-/** Key of a full-set game state with the target marked. */
-std::string
-gameKey(const SetModel& m, BlockId target)
-{
-    std::map<BlockId, char> names;
-    std::string key;
-    for (unsigned w = 0; w < m.ways(); ++w) {
-        if (!m.isValid(w)) {
-            key.push_back('.');
-            continue;
-        }
-        const BlockId b = m.blockAt(w);
-        if (b == target) {
-            key.push_back('T');
-            continue;
-        }
-        auto [it, ignored] = names.emplace(
-            b, static_cast<char>('a' + names.size()));
-        (void)ignored;
-        key.push_back(it->second);
-    }
-    key.push_back('/');
-    key += m.policy().stateKey();
-    return key;
-}
-
-/** Compile @p proto under the exploration budget of @p cfg. */
-policy::CompiledTablePtr
-compileForMetric(const policy::ReplacementPolicy& proto,
-                 const PredictabilityConfig& cfg)
+/**
+ * @p explore on @p proto compiled within the exploration budget, else
+ * on @p proto: CompiledPolicy's packs map one to one onto the source
+ * policy's, so both give the same result.
+ */
+template <class Explore>
+MetricResult
+onCompiledOrSource(const ReplacementPolicy& proto,
+                   const PredictabilityConfig& cfg, Explore explore)
 {
     policy::CompileBudget budget;
     budget.maxStates = cfg.maxStates;
-    return policy::compilePolicy(proto, budget);
+    if (const auto table = policy::compilePolicy(proto, budget))
+        return explore(policy::CompiledPolicy(table), cfg);
+    return explore(proto, cfg);
 }
 
-/**
- * missTurnover over the compiled automaton: the same BFS and the
- * same turnover simulation, but states are table indices and the
- * cycle-detection signature packs (state, originals) into one
- * integer instead of concatenating strings. Requires k <= 32 so the
- * originals mask fits next to the 32-bit state index.
- */
 MetricResult
-missTurnoverCompiled(const policy::CompiledTable& table,
-                     const PredictabilityConfig& cfg)
+missTurnoverImpl(const ReplacementPolicy& proto,
+                 const PredictabilityConfig& cfg)
 {
-    const unsigned k = table.ways();
+    // On a full set the contents are irrelevant up to renaming: inputs
+    // are touch(w) and a miss. The turnover walks number states too,
+    // so the BFS keeps its own frontier.
+    const unsigned k = proto.ways();
     MetricResult result;
-
-    const uint32_t* touchNext = table.touchData();
-    const uint32_t* fillNext = table.fillData();
-    const uint16_t* victim = table.victimData();
-
-    // Canonical fill to a full set from the reset state (index 0).
-    uint32_t initial = 0;
+    policy::PolicyStates states(proto);
+    states.policy().reset();
     for (unsigned w = 0; w < k; ++w)
-        initial =
-            fillNext[static_cast<std::size_t>(initial) * k + w];
-
-    std::vector<bool> visited(table.numStates(), false);
-    std::deque<uint32_t> frontier;
-    visited[initial] = true;
-    frontier.push_back(initial);
+        states.policy().fill(w);
+    std::vector<uint32_t> frontier{states.intern()};
+    // Per id: reached by the BFS; last turnover phase it was seen in.
+    std::vector<bool> visited{true};
+    std::vector<uint64_t> phaseOf{0};
+    uint64_t phase = 0;
+    const auto number = [&]() {
+        const uint32_t id = states.intern();
+        visited.resize(states.size(), false);
+        phaseOf.resize(states.size(), 0);
+        return id;
+    };
 
     uint64_t worst = 0;
-    std::unordered_set<uint64_t> seen;
-
-    while (!frontier.empty()) {
-        const uint32_t state = frontier.front();
-        frontier.pop_front();
-        ++result.statesExplored;
-        if (result.statesExplored > cfg.maxStates) {
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+        if (++result.statesExplored > cfg.maxStates) {
             result.exhaustedBudget = true;
             return result;
         }
 
-        // Turnover from this state: consecutive misses until every
-        // currently resident way has been refilled at least once.
-        {
-            uint32_t sim = state;
-            uint64_t originals = (uint64_t{1} << k) - 1;
-            uint64_t count = 0;
-            seen.clear();
-            while (originals != 0) {
-                const uint64_t sig =
-                    (uint64_t{sim} << 32) | originals;
-                if (!seen.insert(sig).second) {
-                    result.unbounded = true;
-                    return result;
-                }
-                const unsigned v = victim[sim];
-                sim = fillNext[static_cast<std::size_t>(sim) * k + v];
-                originals &= ~(uint64_t{1} << v);
-                ++count;
+        // Turnover: consecutive misses until every way resident now
+        // has been refilled. A state that recurs before another of
+        // them is refilled is a cycle that never refills the rest.
+        ReplacementPolicy& sim = states.load(frontier[head]);
+        std::vector<bool> refilled(k, false);
+        unsigned left = k;
+        uint64_t count = 0;
+        for (++phase; left != 0; ++count) {
+            const uint32_t id = number();
+            if (phaseOf[id] == phase) {
+                result.unbounded = true;
+                return result;
             }
-            worst = std::max(worst, count);
+            phaseOf[id] = phase;
+            const policy::Way v = sim.victim();
+            sim.fill(v);
+            if (!refilled[v]) {
+                refilled[v] = true;
+                --left;
+                ++phase;
+            }
         }
+        worst = std::max(worst, count);
 
         // Successors: touch(w) for each way, plus one filled miss.
-        const std::size_t row = static_cast<std::size_t>(state) * k;
-        for (unsigned w = 0; w < k; ++w) {
-            const uint32_t next = touchNext[row + w];
-            if (!visited[next]) {
-                visited[next] = true;
-                frontier.push_back(next);
-            }
-        }
-        {
-            const uint32_t next = fillNext[row + victim[state]];
-            if (!visited[next]) {
-                visited[next] = true;
-                frontier.push_back(next);
+        for (unsigned w = 0; w <= k; ++w) {
+            ReplacementPolicy& next = states.load(frontier[head]);
+            if (w < k)
+                next.touch(w);
+            else
+                next.fill(next.victim());
+            const uint32_t id = number();
+            if (!visited[id]) {
+                visited[id] = true;
+                frontier.push_back(id);
             }
         }
     }
-
     result.value = worst;
     return result;
+}
+
+MetricResult
+evictBoundImpl(const policy::ReplacementPolicy& proto,
+               const PredictabilityConfig& cfg)
+{
+    const unsigned k = proto.ways();
+    MetricResult result;
+    constexpr BlockId kTarget = 0;
+
+    struct Edge
+    {
+        uint32_t to;
+        uint8_t weight; ///< 1 for a (surviving) miss, 0 for a hit
+    };
+
+    // Game states: the policy state plus the contents, renamed by
+    // first occurrence with the target named apart. The roots: flush
+    // and a sequential fill, with the target at every position.
+    SetStates game({&proto}, {kTarget});
+    for (unsigned t_pos = 0; t_pos < k; ++t_pos) {
+        game.flush();
+        BlockId other = 1;
+        for (unsigned i = 0; i < k; ++i)
+            game.access(0, i == t_pos ? kTarget : other++);
+        game.intern(0, cfg.maxStates);
+    }
+
+    // The reachable game graph, ids in discovery order. The adversary
+    // hits any resident but the target, or misses on a fresh block; a
+    // miss that evicts the target ends the game and has no edge.
+    std::vector<std::vector<Edge>> edges;
+    for (uint32_t id = 0; id < game.size(); ++id) {
+        ++result.statesExplored;
+        edges.emplace_back();
+        game.load(id);
+        std::vector<BlockId> moves = game.blocks(0);
+        moves.push_back(*std::max_element(moves.begin(), moves.end()) + 1);
+        for (const BlockId b : moves) {
+            if (b == kTarget)
+                continue;
+            game.load(id);
+            const bool hit = game.access(0, b);
+            const auto after = game.blocks(0);
+            if (std::find(after.begin(), after.end(), kTarget) == after.end())
+                continue;
+            const uint32_t to = game.intern(b, cfg.maxStates);
+            if (to == policy::StateIndex::kFull) {
+                result.exhaustedBudget = true;
+                return result;
+            }
+            edges[id].push_back({to, static_cast<uint8_t>(!hit)});
+        }
+    }
+
+    // R_j: the states some play reaches after at least j misses (all
+    // states for j = 0: the game was built from the roots). R_{j+1}
+    // is everything reachable from a miss out of R_j, so the sets
+    // shrink. They empty out after value + 1 steps, or stop shrinking
+    // on a cycle through a miss, which the adversary repeats forever.
+    const uint32_t n = game.size();
+    std::vector<char> in(n, 1);
+    uint32_t count = n;
+    for (uint64_t j = 0;; ++j) {
+        std::vector<char> next(n, 0);
+        std::vector<uint32_t> stack;
+        const auto reach = [&](uint32_t v) {
+            if (!next[v]) {
+                next[v] = 1;
+                stack.push_back(v);
+            }
+        };
+        for (uint32_t v = 0; v < n; ++v)
+            for (const Edge& e : edges[v])
+                if (in[v] && e.weight == 1)
+                    reach(e.to);
+        uint32_t nextCount = 0;
+        while (!stack.empty()) {
+            const uint32_t v = stack.back();
+            stack.pop_back();
+            ++nextCount;
+            for (const Edge& e : edges[v])
+                reach(e.to);
+        }
+        if (nextCount == 0) {
+            result.value = j;
+            return result;
+        }
+        if (nextCount == count) {
+            result.unbounded = true;
+            return result;
+        }
+        in.swap(next);
+        count = nextCount;
+    }
 }
 
 } // namespace
@@ -160,287 +222,14 @@ MetricResult
 missTurnover(const policy::ReplacementPolicy& proto,
              const PredictabilityConfig& cfg)
 {
-    const unsigned k = proto.ways();
-
-    // Fast path: walk the compiled automaton with integer states.
-    // Interning by stateKey makes the traversal isomorphic to the
-    // string-keyed one below, so both paths return identical results;
-    // when compilation exceeds the budget, fall through.
-    if (k <= 32) {
-        if (const auto table = compileForMetric(proto, cfg))
-            return missTurnoverCompiled(*table, cfg);
-    }
-
-    MetricResult result;
-
-    // Enumerate reachable policy states (on a full set, the contents
-    // are irrelevant up to renaming, so the policy automaton alone
-    // suffices: inputs are touch(w) and miss).
-    std::unordered_set<std::string> visited;
-    std::deque<PolicyPtr> frontier;
-
-    PolicyPtr initial = proto.clone();
-    initial->reset();
-    // Canonical fill to a full set.
-    for (unsigned w = 0; w < k; ++w)
-        initial->fill(w);
-    visited.insert(initial->stateKey());
-    frontier.push_back(std::move(initial));
-
-    uint64_t worst = 0;
-
-    while (!frontier.empty()) {
-        PolicyPtr state = std::move(frontier.front());
-        frontier.pop_front();
-        ++result.statesExplored;
-        if (result.statesExplored > cfg.maxStates) {
-            result.exhaustedBudget = true;
-            return result;
-        }
-
-        // Turnover from this state: consecutive misses until every
-        // currently resident way has been refilled at least once.
-        {
-            PolicyPtr sim = state->clone();
-            uint64_t originals = (k >= 64) ? ~uint64_t{0}
-                                           : ((uint64_t{1} << k) - 1);
-            uint64_t count = 0;
-            std::unordered_set<std::string> seen;
-            while (originals != 0) {
-                const std::string sig = sim->stateKey() + ":" +
-                                        std::to_string(originals);
-                if (!seen.insert(sig).second) {
-                    result.unbounded = true;
-                    return result;
-                }
-                const policy::Way v = sim->victim();
-                sim->fill(v);
-                originals &= ~(uint64_t{1} << v);
-                ++count;
-            }
-            worst = std::max(worst, count);
-        }
-
-        // Successors.
-        for (unsigned w = 0; w <= k; ++w) {
-            PolicyPtr next = state->clone();
-            if (w < k) {
-                next->touch(w);
-            } else {
-                next->fill(next->victim());
-            }
-            std::string key = next->stateKey();
-            if (visited.insert(std::move(key)).second)
-                frontier.push_back(std::move(next));
-        }
-    }
-
-    result.value = worst;
-    return result;
+    return onCompiledOrSource(proto, cfg, missTurnoverImpl);
 }
-
-namespace
-{
-
-MetricResult
-evictBoundImpl(const policy::ReplacementPolicy& proto,
-               const PredictabilityConfig& cfg)
-{
-    const unsigned k = proto.ways();
-    MetricResult result;
-    constexpr BlockId kTarget = 0;
-
-    struct Edge
-    {
-        uint32_t to;
-        uint8_t weight; ///< 1 for a (surviving) miss, 0 for a hit
-    };
-
-    std::vector<SetModel> models;
-    std::vector<std::vector<Edge>> edges;
-    std::unordered_map<std::string, uint32_t> index;
-    std::deque<uint32_t> frontier;
-    std::vector<uint32_t> roots;
-
-    auto intern = [&](SetModel&& m) -> std::optional<uint32_t> {
-        std::string key = gameKey(m, kTarget);
-        auto it = index.find(key);
-        if (it != index.end())
-            return it->second;
-        if (models.size() >= cfg.maxStates)
-            return std::nullopt;
-        const auto id = static_cast<uint32_t>(models.size());
-        index.emplace(std::move(key), id);
-        models.push_back(std::move(m));
-        edges.emplace_back();
-        frontier.push_back(id);
-        return id;
-    };
-
-    // Canonical initial states: flush + sequential fill, with the
-    // target placed at every fill position in turn.
-    for (unsigned t_pos = 0; t_pos < k; ++t_pos) {
-        SetModel m(proto.clone());
-        m.flush();
-        BlockId other = 1;
-        for (unsigned i = 0; i < k; ++i)
-            m.access(i == t_pos ? kTarget : other++);
-        auto id = intern(std::move(m));
-        if (id)
-            roots.push_back(*id);
-    }
-
-    // Build the reachable game graph.
-    while (!frontier.empty()) {
-        const uint32_t id = frontier.front();
-        frontier.pop_front();
-        ++result.statesExplored;
-
-        // Collect the resident blocks first; expanding mutates models.
-        std::vector<BlockId> resident;
-        BlockId max_block = 0;
-        for (unsigned w = 0; w < k; ++w) {
-            const BlockId b = models[id].blockAt(w);
-            resident.push_back(b);
-            max_block = std::max(max_block, b);
-        }
-
-        for (BlockId b : resident) {
-            if (b == kTarget)
-                continue; // the adversary may not touch the target
-            SetModel next = models[id];
-            next.access(b);
-            auto nid = intern(std::move(next));
-            if (!nid) {
-                result.exhaustedBudget = true;
-                return result;
-            }
-            edges[id].push_back({*nid, 0});
-        }
-        {
-            SetModel next = models[id];
-            next.access(max_block + 1);
-            if (next.contains(kTarget)) {
-                auto nid = intern(std::move(next));
-                if (!nid) {
-                    result.exhaustedBudget = true;
-                    return result;
-                }
-                edges[id].push_back({*nid, 1});
-            }
-            // A miss that evicts the target ends the game (value 0
-            // contribution), so no edge is recorded.
-        }
-    }
-
-    // Tarjan SCC (iterative).
-    const auto n = static_cast<uint32_t>(models.size());
-    std::vector<uint32_t> comp(n, UINT32_MAX), low(n), disc(n);
-    std::vector<bool> on_stack(n, false);
-    std::vector<uint32_t> stack;
-    uint32_t timer = 0, comp_count = 0;
-
-    struct Frame
-    {
-        uint32_t node;
-        size_t edge;
-    };
-    for (uint32_t start = 0; start < n; ++start) {
-        if (comp[start] != UINT32_MAX || disc[start] != 0)
-            continue;
-        std::vector<Frame> call;
-        call.push_back({start, 0});
-        disc[start] = low[start] = ++timer;
-        stack.push_back(start);
-        on_stack[start] = true;
-        while (!call.empty()) {
-            Frame& f = call.back();
-            if (f.edge < edges[f.node].size()) {
-                const uint32_t to = edges[f.node][f.edge++].to;
-                if (disc[to] == 0) {
-                    disc[to] = low[to] = ++timer;
-                    stack.push_back(to);
-                    on_stack[to] = true;
-                    call.push_back({to, 0});
-                } else if (on_stack[to]) {
-                    low[f.node] = std::min(low[f.node], disc[to]);
-                }
-            } else {
-                if (low[f.node] == disc[f.node]) {
-                    while (true) {
-                        const uint32_t v = stack.back();
-                        stack.pop_back();
-                        on_stack[v] = false;
-                        comp[v] = comp_count;
-                        if (v == f.node)
-                            break;
-                    }
-                    ++comp_count;
-                }
-                const uint32_t done = f.node;
-                call.pop_back();
-                if (!call.empty()) {
-                    low[call.back().node] =
-                        std::min(low[call.back().node], low[done]);
-                }
-            }
-        }
-    }
-
-    // A miss edge inside an SCC (including a self loop) lets the
-    // adversary survive arbitrarily many misses.
-    for (uint32_t v = 0; v < n; ++v) {
-        for (const Edge& e : edges[v]) {
-            if (e.weight == 1 && comp[v] == comp[e.to]) {
-                result.unbounded = true;
-                return result;
-            }
-        }
-    }
-
-    // Longest path on the condensation. Tarjan numbers components in
-    // reverse topological order (edges go from higher comp id to
-    // lower or within), so process components in increasing id.
-    std::vector<std::vector<uint32_t>> members(comp_count);
-    for (uint32_t v = 0; v < n; ++v)
-        members[comp[v]].push_back(v);
-    std::vector<uint64_t> comp_value(comp_count, 0);
-    for (uint32_t c = 0; c < comp_count; ++c) {
-        uint64_t best = 0;
-        for (uint32_t v : members[c]) {
-            for (const Edge& e : edges[v]) {
-                if (comp[e.to] == c)
-                    continue;
-                best = std::max(best,
-                                e.weight + comp_value[comp[e.to]]);
-            }
-        }
-        comp_value[c] = best;
-    }
-
-    uint64_t answer = 0;
-    for (uint32_t r : roots)
-        answer = std::max(answer, comp_value[comp[r]]);
-    result.value = answer;
-    return result;
-}
-
-} // namespace
 
 MetricResult
 evictBound(const policy::ReplacementPolicy& proto,
            const PredictabilityConfig& cfg)
 {
-    // The game graph is keyed by set contents plus the policy's
-    // stateKey, which CompiledPolicy forwards verbatim from its
-    // table, so wrapping the prototype changes nothing about the
-    // exploration — it only makes the inner clone/victim/stateKey
-    // calls table lookups instead of per-policy virtual work.
-    if (const auto table = compileForMetric(proto, cfg)) {
-        const policy::CompiledPolicy fast(table);
-        return evictBoundImpl(fast, cfg);
-    }
-    return evictBoundImpl(proto, cfg);
+    return onCompiledOrSource(proto, cfg, evictBoundImpl);
 }
 
 std::vector<PredictabilityRow>

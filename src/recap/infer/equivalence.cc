@@ -1,62 +1,10 @@
 #include "recap/infer/equivalence.hh"
 
-#include <deque>
-#include <map>
-#include <string>
-#include <unordered_set>
-
 #include "recap/common/error.hh"
+#include "recap/policy/state_space.hh"
 
 namespace recap::infer
 {
-
-namespace
-{
-
-using policy::BlockId;
-using policy::SetModel;
-
-/** One frontier node of the product exploration. */
-struct ProductState
-{
-    SetModel a;
-    SetModel b;
-    std::vector<BlockId> path;
-};
-
-/**
- * Joint canonical key: both models' contents renamed by one shared
- * first-occurrence map, so equal keys mean equal joint behaviour
- * under block renaming.
- */
-std::string
-jointKey(const SetModel& a, const SetModel& b)
-{
-    std::map<BlockId, char> names;
-    auto emit = [&](const SetModel& m, std::string& out) {
-        for (unsigned w = 0; w < m.ways(); ++w) {
-            if (!m.isValid(w)) {
-                out.push_back('.');
-                continue;
-            }
-            auto [it, ignored] = names.emplace(
-                m.blockAt(w), static_cast<char>('A' + names.size()));
-            (void)ignored;
-            out.push_back(it->second);
-        }
-    };
-    std::string key;
-    emit(a, key);
-    key.push_back('/');
-    key += a.policy().stateKey();
-    key.push_back('|');
-    emit(b, key);
-    key.push_back('/');
-    key += b.policy().stateKey();
-    return key;
-}
-
-} // namespace
 
 EquivalenceResult
 checkEquivalence(const policy::ReplacementPolicy& a,
@@ -71,39 +19,28 @@ checkEquivalence(const policy::ReplacementPolicy& a,
 
     EquivalenceResult result;
 
-    ProductState initial{SetModel(a.clone()), SetModel(b.clone()), {}};
-    initial.a.flush();
-    initial.b.flush();
+    // Product states: both sets under one shared renaming. Walking the
+    // ids is the BFS; parent links give a shortest counterexample.
+    policy::SetStates product({&a, &b});
+    product.flush();
+    product.intern(0);
 
-    std::unordered_set<std::string> visited;
-    std::deque<ProductState> frontier;
-    visited.insert(jointKey(initial.a, initial.b));
-    frontier.push_back(std::move(initial));
-
-    while (!frontier.empty()) {
-        const ProductState state = std::move(frontier.front());
-        frontier.pop_front();
-        ++result.statesExplored;
-
-        if (result.statesExplored > cfg.maxStates) {
-            result.exhausted = false;
+    for (uint32_t at = 0; at < product.size(); ++at) {
+        if (++result.statesExplored > cfg.maxStates)
             return result; // equivalent so far, but not exhaustive
-        }
 
-        for (BlockId sym = 0; sym < alphabet; ++sym) {
-            ProductState next{state.a, state.b, state.path};
-            next.path.push_back(sym);
-            const bool hit_a = next.a.access(sym);
-            const bool hit_b = next.b.access(sym);
+        for (policy::BlockId sym = 0; sym < alphabet; ++sym) {
+            product.load(at);
+            const bool hit_a = product.access(0, sym);
+            const bool hit_b = product.access(1, sym);
             if (hit_a != hit_b) {
                 result.equivalent = false;
-                result.counterexample = std::move(next.path);
+                result.counterexample = product.path(at);
+                result.counterexample.push_back(sym);
                 result.exhausted = true;
                 return result;
             }
-            std::string key = jointKey(next.a, next.b);
-            if (visited.insert(std::move(key)).second)
-                frontier.push_back(std::move(next));
+            product.intern(sym);
         }
     }
 

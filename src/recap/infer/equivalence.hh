@@ -51,9 +51,9 @@ struct EquivalenceConfig
 };
 
 /**
- * Checks whether two policies of equal associativity are
- * behaviourally equivalent (same hit/miss answer on every block
- * access sequence over the alphabet, starting from flushed sets).
+ * Checks whether two policies of equal associativity (at most 127
+ * ways) are behaviourally equivalent (same hit/miss answer on every
+ * block access sequence over the alphabet, from flushed sets).
  */
 EquivalenceResult
 checkEquivalence(const policy::ReplacementPolicy& a,

@@ -5,10 +5,9 @@
 #include <map>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
 
 #include "recap/common/error.hh"
-#include "recap/policy/set_model.hh"
+#include "recap/policy/state_space.hh"
 
 namespace recap::learn
 {
@@ -111,40 +110,25 @@ MealyMachine::minimized() const
 {
     const std::vector<unsigned> reachable = bfsOrder(*this);
 
-    // Moore partition refinement on the reachable part: start from
-    // the per-state output signature, split by successor-class
-    // signatures until stable.
+    // Moore partition refinement on the reachable part: classes start
+    // from the per-state outputs and split by successor classes until
+    // their number stops growing. A StateIndex numbers each round.
     std::vector<int> classOf(numStates_, -1);
-    {
-        std::map<std::vector<bool>, int> bySignature;
-        for (unsigned state : reachable) {
-            std::vector<bool> sig(alphabet_);
-            for (Symbol a = 0; a < alphabet_; ++a)
-                sig[a] = output(state, a);
-            const auto [it, inserted] = bySignature.try_emplace(
-                sig, static_cast<int>(bySignature.size()));
-            (void)inserted;
-            classOf[state] = it->second;
-        }
-    }
-    for (;;) {
-        std::map<std::vector<int>, int> byKey;
+    for (uint32_t classes = 0;;) {
+        policy::StateIndex byKey;
         std::vector<int> nextClass(numStates_, -1);
         for (unsigned state : reachable) {
-            std::vector<int> key{classOf[state]};
+            std::vector<uint32_t> key{static_cast<uint32_t>(classOf[state])};
             for (Symbol a = 0; a < alphabet_; ++a)
-                key.push_back(classOf[next(state, a)]);
-            const auto [it, inserted] = byKey.try_emplace(
-                key, static_cast<int>(byKey.size()));
-            (void)inserted;
-            nextClass[state] = it->second;
+                key.push_back(output(state, a) |
+                              static_cast<uint32_t>(classOf[next(state, a)])
+                                  << 1);
+            nextClass[state] = static_cast<int>(byKey.intern(key).first);
         }
-        bool changed = false;
-        for (unsigned state : reachable)
-            changed |= nextClass[state] != classOf[state];
         classOf = std::move(nextClass);
-        if (!changed)
+        if (byKey.size() == classes)
             break;
+        classes = byKey.size();
     }
 
     // Canonical numbering: BFS over classes from the initial class.
@@ -223,40 +207,33 @@ MealyMachine::distinguishingWord(const MealyMachine& other) const
 {
     require(alphabet_ == other.alphabet_,
             "distinguishingWord: alphabet mismatch");
-    // BFS over the product; parent pointers reconstruct the word.
+    // BFS over the product: ids are discovery order, and parent
+    // links rebuild the word.
     struct Visit
     {
-        uint64_t parent;
+        uint32_t parent;
         Symbol symbol;
     };
-    const uint64_t width = other.numStates_;
-    std::unordered_map<uint64_t, Visit> visited;
-    std::deque<uint64_t> frontier;
-    const auto pack = [width](unsigned a, unsigned b) {
-        return static_cast<uint64_t>(a) * width + b;
-    };
-    visited.emplace(pack(0, 0), Visit{UINT64_MAX, 0});
-    frontier.push_back(pack(0, 0));
-    while (!frontier.empty()) {
-        const uint64_t key = frontier.front();
-        frontier.pop_front();
-        const unsigned a = static_cast<unsigned>(key / width);
-        const unsigned b = static_cast<unsigned>(key % width);
+    constexpr uint32_t kRoot = UINT32_MAX;
+    policy::StateIndex index;
+    const uint32_t start[2] = {0, 0};
+    index.intern(start);
+    std::vector<Visit> visits{{kRoot, 0}};
+    for (uint32_t at = 0; at < index.size(); ++at) {
+        const unsigned a = index.record(at)[0];
+        const unsigned b = index.record(at)[1];
         for (Symbol sym = 0; sym < alphabet_; ++sym) {
             if (output(a, sym) != other.output(b, sym)) {
                 Word word{sym};
-                uint64_t at = key;
-                while (visited.at(at).parent != UINT64_MAX) {
-                    word.push_back(visited.at(at).symbol);
-                    at = visited.at(at).parent;
-                }
+                for (uint32_t v = at; visits[v].parent != kRoot;
+                     v = visits[v].parent)
+                    word.push_back(visits[v].symbol);
                 std::reverse(word.begin(), word.end());
                 return word;
             }
-            const uint64_t succ =
-                pack(next(a, sym), other.next(b, sym));
-            if (visited.emplace(succ, Visit{key, sym}).second)
-                frontier.push_back(succ);
+            const uint32_t succ[2] = {next(a, sym), other.next(b, sym)};
+            if (index.intern(succ).second)
+                visits.push_back({at, sym});
         }
     }
     return {};
@@ -298,62 +275,41 @@ automatonOfPolicy(const policy::ReplacementPolicy& policy,
 {
     require(alphabet >= 1, "automatonOfPolicy: empty alphabet");
 
-    // A state is the concrete (contents, policy-state) pair. The
-    // SetModel's stateKey canonicalizes block *renaming*, which is
-    // exactly what must NOT be merged here: two states with the same
-    // shape but different concrete blocks transition differently on
-    // a concrete symbol. The key therefore appends the concrete
-    // per-way contents.
-    const auto keyOf = [](const policy::SetModel& model) {
-        std::string key = model.stateKey();
-        key += '|';
-        for (policy::Way w = 0; w < model.ways(); ++w) {
-            if (model.isValid(w))
-                key += std::to_string(model.blockAt(w));
-            key += ',';
-        }
-        return key;
-    };
-
-    policy::SetModel initial(policy.clone());
-    initial.flush();
-
-    std::unordered_map<std::string, unsigned> stateIds;
-    std::vector<policy::SetModel> states;
-    stateIds.emplace(keyOf(initial), 0);
-    states.push_back(initial);
+    // A state is the concrete (contents, policy-state) pair: two
+    // states with the same shape but different concrete blocks
+    // transition differently on a concrete symbol, so every block of
+    // the alphabet is pinned to its own name.
+    std::vector<policy::BlockId> blocks(alphabet);
+    std::iota(blocks.begin(), blocks.end(), policy::BlockId{1});
+    policy::SetStates states({&policy}, blocks);
+    states.flush();
+    states.intern(0);
 
     struct Edge
     {
-        unsigned from;
-        Symbol symbol;
-        unsigned to;
+        uint32_t to;
         bool hit;
     };
     std::vector<Edge> edges;
 
-    for (unsigned at = 0; at < states.size(); ++at) {
+    for (uint32_t at = 0; at < states.size(); ++at) {
         for (Symbol a = 0; a < alphabet; ++a) {
-            policy::SetModel succ = states[at];
-            const bool hit =
-                succ.access(static_cast<policy::BlockId>(a) + 1);
-            const std::string key = keyOf(succ);
-            auto [it, inserted] = stateIds.try_emplace(
-                key, static_cast<unsigned>(states.size()));
-            if (inserted) {
-                require(states.size() < maxStates,
-                        "automatonOfPolicy: state budget exceeded "
-                        "(stochastic or non-finite policy?)");
-                states.push_back(std::move(succ));
-            }
-            edges.push_back({at, a, it->second, hit});
+            states.load(at);
+            const policy::BlockId block = policy::BlockId{a} + 1;
+            const bool hit = states.access(0, block);
+            const uint32_t to = states.intern(block, maxStates);
+            require(to != policy::StateIndex::kFull,
+                    "automatonOfPolicy: state budget exceeded "
+                    "(stochastic or non-finite policy?)");
+            edges.push_back({to, hit});
         }
     }
 
-    MealyMachine machine(static_cast<unsigned>(states.size()),
-                         alphabet);
-    for (const Edge& e : edges)
-        machine.setTransition(e.from, e.symbol, e.to, e.hit);
+    MealyMachine machine(states.size(), alphabet);
+    for (std::size_t i = 0; i < edges.size(); ++i)
+        machine.setTransition(static_cast<unsigned>(i / alphabet),
+                              static_cast<Symbol>(i % alphabet),
+                              edges[i].to, edges[i].hit);
     return machine;
 }
 

@@ -20,7 +20,7 @@
  *    tests at small associativity),
  *  - automatonOfPolicy(): exact extraction of the machine of a known
  *    policy::ReplacementPolicy by breadth-first exploration over
- *    SetModel state keys — the ground truth the learner is judged
+ *    policy::SetStates — the ground truth the learner is judged
  *    against, and the input of the recap-dot tool,
  *  - toDot(): Graphviz rendering.
  */
@@ -171,8 +171,8 @@ class MealyMachine
 
 /**
  * Extracts the exact Mealy machine of @p policy over @p alphabet
- * distinct blocks by BFS over SetModel states (contents + policy
- * state, canonicalized by SetModel::stateKey). The result is the
+ * distinct blocks by BFS over (concrete contents, policy state) set
+ * states; alphabet + ways is at most 254. The result is the
  * reachable ground-truth automaton the learner should recover;
  * minimize() it before isomorphism comparisons.
  *

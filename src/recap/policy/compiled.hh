@@ -20,10 +20,9 @@
  * an integer copy, and the batch kernels in eval/ and query/ can keep
  * per-set state in structure-of-arrays form.
  *
- * One scratch policy unpacks, steps and packs every edge, and the
- * states live in a flat open-addressing index, so no edge clones a
- * policy or builds a string; the stateKey() strings are built once
- * per state at the end.
+ * The states are numbered by policy::PolicyStates (one scratch
+ * policy, no per-edge clone or string); the stateKey() strings are
+ * built once per state at the end.
  *
  * Policies that cannot pack (the stochastic "random" policy, whose
  * stream position is unbounded; the metadata consumers; any state
@@ -223,10 +222,10 @@ CompiledTablePtr compiledTableFor(const std::string& spec,
 
 /**
  * Drop-in ReplacementPolicy running on a compiled table: state is one
- * integer, clone() copies no vectors, and name()/stateKey() are
- * bit-exact passthroughs of the source policy so every stateKey-based
- * consumer (equivalence checker, predictability exploration, learn::
- * extraction) behaves identically on the compiled form.
+ * integer, clone() copies no vectors, name()/stateKey() are bit-exact
+ * passthroughs of the source policy, and its packs (the state index)
+ * are equal exactly when the source policy's are, so every explorer
+ * behaves identically on the compiled form.
  */
 class CompiledPolicy : public ReplacementPolicy
 {

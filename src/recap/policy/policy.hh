@@ -59,8 +59,8 @@ using PackedState = Bits128;
  *
  * Implementations must be deterministic given their constructor
  * arguments (including any RNG seed), must keep victim() free of side
- * effects, and must support cloning so that the inference engine and
- * the equivalence checker can fork hypothetical futures.
+ * effects, and must support cloning so that the inference engine can
+ * fork hypothetical futures.
  */
 class ReplacementPolicy
 {
@@ -102,9 +102,10 @@ class ReplacementPolicy
     virtual std::unique_ptr<ReplacementPolicy> clone() const = 0;
 
     /**
-     * Canonical encoding of the current control state, used for state
-     * hashing by the equivalence checker and the predictability
-     * analysis. Two states with equal keys must behave identically.
+     * Canonical encoding of the current control state: the key of the
+     * explorers' states when the policy cannot pack (see
+     * policy/state_space.hh) and of compiled tables' states. Two
+     * states with equal keys must behave identically.
      */
     virtual std::string stateKey() const = 0;
 

@@ -1,7 +1,6 @@
 #include "recap/policy/set_model.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "recap/common/error.hh"
 
@@ -145,29 +144,6 @@ SetModel::evictionOrder() const
         probe.access(fresh++);
     }
     return order;
-}
-
-std::string
-SetModel::stateKey() const
-{
-    // Rename blocks by first appearance across ways so that keys are
-    // invariant under block renaming.
-    std::map<BlockId, char> names;
-    std::string key;
-    key.reserve(ways() + 1 + policy_->stateKey().size());
-    for (unsigned w = 0; w < ways(); ++w) {
-        if (!valid_[w]) {
-            key.push_back('.');
-            continue;
-        }
-        auto [it, inserted] = names.emplace(
-            blocks_[w], static_cast<char>('A' + names.size()));
-        key.push_back(it->second);
-        (void)inserted;
-    }
-    key.push_back('/');
-    key += policy_->stateKey();
-    return key;
 }
 
 } // namespace recap::policy

@@ -4,9 +4,9 @@
  * as a self-contained automaton over abstract block identifiers.
  *
  * This is the object the paper's formalism reasons about: the
- * equivalence checker, the permutation deriver and the candidate
- * search all interact with caches at this level, independent of
- * addresses, sets, and hierarchies.
+ * permutation deriver, the candidate search and the query oracles
+ * interact with caches at this level, independent of addresses,
+ * sets, and hierarchies.
  */
 
 #ifndef RECAP_POLICY_SET_MODEL_HH_
@@ -81,13 +81,6 @@ class SetModel
      * Requires a full set.
      */
     std::vector<BlockId> evictionOrder() const;
-
-    /**
-     * Canonical joint state of contents and policy, with block ids
-     * renamed by first occurrence so that two states that differ only
-     * in block naming compare equal.
-     */
-    std::string stateKey() const;
 
     /** Read-only access to the underlying policy. */
     const ReplacementPolicy& policy() const { return *policy_; }

@@ -393,5 +393,22 @@ TEST(CompileRefusal, UnpackablePoliciesAreRefusedAtOnce)
     EXPECT_EQ(compilePolicy(*makePolicy("dip", 24), unbounded), nullptr);
 }
 
+/**
+ * A concrete-block learned automaton rejects a touch of a way it
+ * never filled, and the enumeration touches every way from reset: it
+ * has no total table, so it is refused rather than thrown out of.
+ */
+TEST(CompileRefusal, ConcreteBlockLearnedPoliciesAreRefused)
+{
+    unsigned concrete = 0;
+    for (const learn::LearnedPolicy& learned : learnedPolicies()) {
+        if (learned.semantics() != learn::SymbolSemantics::kConcreteBlocks)
+            continue;
+        ++concrete;
+        EXPECT_EQ(compilePolicy(learned), nullptr) << learned.name();
+    }
+    EXPECT_EQ(concrete, 5u);
+}
+
 } // namespace
 } // namespace recap::policy

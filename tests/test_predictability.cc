@@ -121,9 +121,11 @@ TEST(EvictBound, BudgetExhaustionIsReportedNotWrong)
     EXPECT_EQ(r.render(), ">budget");
 }
 
-// Pinned values for the adaptive/metadata policies: these exercise
-// the interpreted fallback paths (set-dueling state, EAF filter) and
-// must stay bit-stable — a drift means the policy semantics changed.
+// Pinned values for the adaptive/metadata policies. dip and drrip at
+// 2 ways compile, so they explore the compiled form (set-dueling
+// state in the table); EAF cannot pack, so it explores stored clones
+// keyed by stateKey() (the EAF filter). They must stay bit-stable — a
+// drift means the policy semantics changed.
 TEST(MissTurnover, AdaptivePoliciesPinned)
 {
     EXPECT_EQ(*missTurnover(*policy::makePolicy("dip", 2)).value,

@@ -13,6 +13,8 @@
 #include "recap/hw/machine.hh"
 #include "recap/infer/geometry_probe.hh"
 #include "recap/infer/measurement.hh"
+#include "recap/learn/learned_policy.hh"
+#include "recap/learn/mealy.hh"
 #include "recap/policy/factory.hh"
 #include "recap/policy/set_model.hh"
 #include "recap/query/oracle.hh"
@@ -100,6 +102,33 @@ TEST(PolicyOracle, MatchesDirectSetModelWalkAcrossBaselines)
                     << spec << " k=" << ways << ": " << text;
             }
         }
+    }
+}
+
+TEST(PolicyOracle, ConcreteLearnedPrototypeAnswersInterpreted)
+{
+    // A concrete-block learned automaton has no total table, so the
+    // batch evaluator must fall back to the prototype's SetModel.
+    const auto truth = policy::makePolicy("lru", 4);
+    const learn::LearnedPolicy learned(
+        4, learn::automatonOfPolicy(*truth, 5),
+        learn::SymbolSemantics::kConcreteBlocks, "Learned LRU");
+    PolicyOracle oracle(learned.clone());
+    EXPECT_EQ(oracle.compiledTable(), nullptr);
+
+    std::vector<CompiledQuery> queries;
+    for (const char* text : {"a b c d a? e a? b?", "a b c d e f a? f?",
+                             "a b a c a d e b? a?"})
+        queries.push_back(parse(text));
+    const auto verdicts = oracle.evaluateBatch(queries);
+    ASSERT_EQ(verdicts.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(probeHits(verdicts[i]),
+                  modelWalk(policy::SetModel(learned.clone()), queries[i]))
+            << i;
+        EXPECT_EQ(probeHits(verdicts[i]),
+                  modelWalk(policy::SetModel(truth->clone()), queries[i]))
+            << i;
     }
 }
 

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "recap/common/error.hh"
 #include "recap/policy/factory.hh"
 #include "recap/policy/lru.hh"
 #include "recap/policy/set_model.hh"
+#include "recap/policy/state_space.hh"
 
 namespace
 {
@@ -99,14 +104,24 @@ TEST(SetModel, EvictionOrderMatchesLruStack)
     EXPECT_EQ(order[3], 2u);
 }
 
+/** Contents by way, then the policy's stateKey(). */
+std::pair<std::vector<BlockId>, std::string>
+snapshot(const SetModel& m)
+{
+    std::vector<BlockId> blocks;
+    for (unsigned w = 0; w < m.ways(); ++w)
+        blocks.push_back(m.isValid(w) ? m.blockAt(w) : 0);
+    return {blocks, m.policy().stateKey()};
+}
+
 TEST(SetModel, EvictionOrderDoesNotPerturbState)
 {
     SetModel m = lruModel(4);
     for (BlockId b = 1; b <= 4; ++b)
         m.access(b);
-    const std::string key = m.stateKey();
+    const auto before = snapshot(m);
     (void)m.evictionOrder();
-    EXPECT_EQ(m.stateKey(), key);
+    EXPECT_EQ(snapshot(m), before);
 }
 
 TEST(SetModel, EvictionOrderRequiresFullSet)
@@ -140,28 +155,42 @@ TEST(SetModel, AssignmentIsDeep)
     EXPECT_FALSE(a.contains(2));
 }
 
+/**
+ * The id of the state @p blocks reach from a flushed set: the renamed
+ * joint state of contents and policy that the automaton explorers
+ * intern (policy/state_space.hh).
+ */
+uint32_t
+renamedState(SetStates& states, const std::vector<BlockId>& blocks)
+{
+    states.flush();
+    for (BlockId b : blocks)
+        states.access(0, b);
+    return states.intern(0);
+}
+
 TEST(SetModel, StateKeyInvariantUnderBlockRenaming)
 {
-    SetModel a = lruModel(4);
-    SetModel b = lruModel(4);
+    const LruPolicy lru(4);
+    SetStates states({&lru});
     // Same access pattern with renamed block ids.
-    for (BlockId x : {1u, 2u, 3u, 1u, 4u})
-        a.access(x);
-    for (BlockId x : {100u, 200u, 300u, 100u, 400u})
-        b.access(x);
-    EXPECT_EQ(a.stateKey(), b.stateKey());
+    const uint32_t a = renamedState(states, {1, 2, 3, 1, 4});
+    const uint32_t b = renamedState(states, {100, 200, 300, 100, 400});
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(states.size(), 1u);
+    // Pinning every block keys the concrete contents: the two differ.
+    SetStates concrete({&lru}, {1, 2, 3, 4, 100, 200, 300, 400});
+    EXPECT_NE(renamedState(concrete, {1, 2, 3, 1, 4}),
+              renamedState(concrete, {100, 200, 300, 100, 400}));
 }
 
 TEST(SetModel, StateKeyDistinguishesDifferentStates)
 {
-    SetModel a = lruModel(4);
-    SetModel b = lruModel(4);
-    for (BlockId x : {1u, 2u, 3u, 4u})
-        a.access(x);
-    for (BlockId x : {1u, 2u, 3u, 4u})
-        b.access(x);
-    b.access(1); // different recency
-    EXPECT_NE(a.stateKey(), b.stateKey());
+    const LruPolicy lru(4);
+    SetStates states({&lru});
+    const uint32_t a = renamedState(states, {1, 2, 3, 4});
+    const uint32_t b = renamedState(states, {1, 2, 3, 4, 1});
+    EXPECT_NE(a, b); // different recency
 }
 
 TEST(SetModel, NextFillWayPrefersInvalid)
