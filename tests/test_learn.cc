@@ -134,6 +134,40 @@ TEST(Learn, SampledEquivalenceMatchesReferenceAtFourWays)
         truthOf("plru", 4)));
 }
 
+TEST(Learn, SampledRunsAtFourWaysPinWordsAndAccesses)
+{
+    // The words L* asks follow only from its promotion order and
+    // batches, so the learner's bookkeeping can change without
+    // moving a single count below.
+    struct Pin
+    {
+        const char* spec;
+        uint64_t membershipWords;
+        uint64_t equivalenceWords;
+        uint64_t accesses;
+        unsigned refinements;
+        unsigned suffixCount;
+    };
+    for (const Pin& pin : {Pin{"lru", 175'715, 155'992, 296'169, 16, 21},
+                           Pin{"plru", 384'592, 185'656, 583'237, 20, 25},
+                           Pin{"fifo", 209'481, 185'656, 601'902, 20, 25}}) {
+        LearnOptions options;
+        options.numThreads = 1;
+        const auto result = learnPolicy(pin.spec, 4, options);
+        ASSERT_EQ(result.outcome, LearnOutcome::kLearned)
+            << pin.spec << ": " << result.diagnostics;
+        EXPECT_EQ(result.states, 206u) << pin.spec;
+        EXPECT_TRUE(result.machine.isomorphicTo(truthOf(pin.spec, 4)))
+            << pin.spec;
+        EXPECT_EQ(result.membershipWords, pin.membershipWords) << pin.spec;
+        EXPECT_EQ(result.equivalenceWords, pin.equivalenceWords)
+            << pin.spec;
+        EXPECT_EQ(result.accessesUsed, pin.accesses) << pin.spec;
+        EXPECT_EQ(result.refinements, pin.refinements) << pin.spec;
+        EXPECT_EQ(result.suffixCount, pin.suffixCount) << pin.spec;
+    }
+}
+
 TEST(Learn, RecencyRolesLearnLruCompactly)
 {
     // Under recency-role semantics LRU's state is just "how many

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "recap/common/error.hh"
 #include "recap/policy/compiled.hh"
@@ -248,6 +250,139 @@ TEST(Stealth, TinyBudgetAbstainsExplicitly)
     tiny.maxConfigs = 3;
     const auto r = sec::stealthProbe(*view, tiny);
     EXPECT_EQ(r.outcome, SecOutcome::kOverBudget);
+}
+
+// --- Pinned catalog searches ------------------------------------------
+
+/** evictStrategy() and stealthProbe() on one compiled catalog cell. */
+struct SecPin
+{
+    const char* spec;
+    unsigned ways;
+    const char* evict;
+    uint64_t evictConfigs;
+    const char* stealth;
+    uint64_t stealthConfigs;
+    const char* probe; ///< one digit per probed way
+    unsigned monitoredWay;
+};
+
+/**
+ * Every catalog spec that compiles at 2 and 4 ways under the default
+ * SecBudget (random, ship, eaf and drrip@4 do not). The three
+ * ">budget" stealth cells stop one config past the budget.
+ */
+const SecPin kSecPins[] = {
+    {"lru", 2, "blind 2, informed 2 (min 2 lines: 2)", 24,
+     "yes (probe 3, prep 0)", 6, "101", 0},
+    {"lru", 4, "blind 4, informed 4 (min 4 lines: 4)", 1056,
+     "yes (probe 7, prep 0)", 756, "1230123", 0},
+    {"fifo", 2, "blind 2, informed 2 (min 2 lines: 2)", 24,
+     "no", 2, "", 0},
+    {"fifo", 4, "blind 4, informed 4 (min 4 lines: 4)", 176,
+     "no", 4, "", 0},
+    {"plru", 2, "blind 2, informed 2 (min 2 lines: 2)", 24,
+     "yes (probe 3, prep 0)", 6, "101", 0},
+    {"plru", 4, "blind 4, informed 4 (min 3 lines: 4)", 312,
+     "yes (probe 5, prep 0)", 88, "12013", 0},
+    {"bitplru", 2, "blind 2, informed 2 (min 2 lines: 2)", 24,
+     "yes (probe 3, prep 0)", 6, "101", 0},
+    {"bitplru", 4, "blind 6, informed 6 (min 4 lines: 6)", 636,
+     "yes (probe 6, prep 0)", 400, "120123", 0},
+    {"nru", 2, "blind 2, informed 2 (min 2 lines: 2)", 24,
+     "yes (probe 3, prep 0)", 4, "101", 0},
+    {"nru", 4, "blind 6, informed 6 (min 4 lines: 6)", 381,
+     "yes (probe 7, prep 0)", 26, "1230123", 0},
+    {"lip", 2, "blind unbounded, informed 3 (min 2 lines: 3)", 28,
+     "yes (probe 2, prep 0)", 4, "10", 1},
+    {"lip", 4, "blind unbounded, informed 7 (min 4 lines: 7)", 1512,
+     "yes (probe 4, prep 0)", 540, "3210", 3},
+    {"bip", 2, "blind 33, informed 3 (min 2 lines: 3)", 954,
+     "no", 256, "", 0},
+    {"bip", 4, "blind 97, informed 7 (min 4 lines: 7)", 50160,
+     "no", 36672, "", 0},
+    {"srrip", 2, "blind 4, informed 3 (min 2 lines: 3)", 126,
+     "yes (probe 4, prep 2)", 65, "1001", 0},
+    {"srrip", 4, "blind 12, informed 7 (min 4 lines: 7)", 11130,
+     "yes (probe 8, prep 4)", 5999, "12300123", 0},
+    {"brrip", 2, "blind 128, informed 5 (min 2 lines: 5)", 4776,
+     "no", 2119, "", 0},
+    {"brrip", 4, "blind 384, informed 11 (min 4 lines: 11)", 478784,
+     "no", 138661, "", 0},
+    {"slru", 2, "blind unbounded, informed 3 (min 2 lines: 3)", 52,
+     "yes (probe 2, prep 1)", 14, "10", 1},
+    {"slru", 4, "blind unbounded, informed 6 (min 4 lines: 6)", 2776,
+     "yes (probe 5, prep 2)", 1604, "32301", 2},
+    {"qlru:H1,M1,R0,U2", 2, "blind 3, informed 3 (min 2 lines: 3)", 126,
+     "yes (probe 7, prep 2)", 101, "1100111", 0},
+    {"qlru:H1,M1,R0,U2", 4, "blind 7, informed 7 (min 4 lines: 7)", 10540,
+     "yes (probe 17, prep 4)", 20301, "11122233001122333", 0},
+    {"qlru:H1,M3,R0,U2", 2, "blind unbounded, informed 7 (min 2 lines: 7)", 212,
+     "yes (probe 7, prep 6)", 218, "0000111", 0},
+    {"qlru:H1,M3,R0,U2", 4,
+     "blind unbounded, informed 17 (min 4 lines: 17)", 23480,
+     "yes (probe 13, prep 12)", 21516, "0000111222333", 0},
+    {"dip", 2, "blind 14, informed 3 (min 2 lines: 3)", 109464,
+     "no", 950528, "", 0},
+    {"dip", 4, "blind 16, informed 7 (min 4 lines: 7)", 5782656,
+     ">budget", 2000001, "", 0},
+    {"drrip", 2, "blind 17, informed 5 (min 2 lines: 5)", 583164,
+     ">budget", 2000001, "", 0},
+    {"dip:4,3,4", 2, "blind 5, informed 3 (min 2 lines: 3)", 13368,
+     "no", 113280, "", 0},
+    {"dip:4,3,4", 4, "blind 13, informed 7 (min 4 lines: 7)", 684672,
+     ">budget", 2000001, "", 0},
+    {"drrip:1,4,3,4", 2, "blind 8, informed 5 (min 2 lines: 5)", 19956,
+     "no", 141349, "", 0},
+    {"drrip:1,4,3,4", 4, "blind 15, informed 10 (min 4 lines: 10)", 399216,
+     "no", 1777957, "", 0},
+};
+
+void
+expectPinnedCells(unsigned ways)
+{
+    unsigned compiled = 0;
+    for (const auto& spec : policy::catalogSpecs()) {
+        if (!policy::specSupportsWays(spec, ways))
+            continue;
+        const auto view = sec::viewForSpec(spec, ways);
+        if (!view)
+            continue;
+        ++compiled;
+        const SecPin* pin = nullptr;
+        for (const SecPin& p : kSecPins)
+            if (p.spec == spec && p.ways == ways)
+                pin = &p;
+        ASSERT_NE(pin, nullptr) << spec << " @" << ways;
+        const auto evict = sec::evictStrategy(*view);
+        EXPECT_EQ(evict.render(), pin->evict) << spec << " @" << ways;
+        EXPECT_EQ(evict.configsExplored, pin->evictConfigs)
+            << spec << " @" << ways;
+        const auto stealth = sec::stealthProbe(*view);
+        std::string probe;
+        for (const auto w : stealth.probe)
+            probe += static_cast<char>('0' + w);
+        EXPECT_EQ(stealth.render(), pin->stealth) << spec << " @" << ways;
+        EXPECT_EQ(stealth.configsExplored, pin->stealthConfigs)
+            << spec << " @" << ways;
+        EXPECT_EQ(probe, pin->probe) << spec << " @" << ways;
+        EXPECT_EQ(stealth.monitoredWay, pin->monitoredWay)
+            << spec << " @" << ways;
+    }
+    unsigned pinned = 0;
+    for (const SecPin& p : kSecPins)
+        pinned += p.ways == ways;
+    EXPECT_EQ(compiled, pinned) << "@" << ways;
+}
+
+TEST(SecurityPins, CatalogAtTwoWays)
+{
+    expectPinnedCells(2);
+}
+
+TEST(SecurityPins, CatalogAtFourWays)
+{
+    expectPinnedCells(4);
 }
 
 // --- Observability ----------------------------------------------------
