@@ -253,17 +253,19 @@ LStarLearner::findCounterexample(const MealyMachine& hypothesis,
     const auto scan =
         [&](const std::vector<Word>& words) -> std::optional<Word> {
         std::optional<Word> best;
+        const PrefixStore& store = table_.store();
         for (const Word& word : words) {
             walker.run(word, predicted);
-            Word prefix;
+            uint32_t node = PrefixStore::kRoot;
             for (std::size_t i = 0; i < word.size(); ++i) {
-                prefix.push_back(word[i]);
-                if (best && prefix.size() >= best->size())
+                if (best && i + 1 >= best->size())
                     break;
-                const int actual = table_.store().lookup(prefix);
-                ensure(actual >= 0, "equivalence word not recorded");
-                if (actual != static_cast<int>(predicted[i])) {
-                    best = prefix;
+                node = store.child(node, word[i]);
+                ensure(node != PrefixStore::kAbsent &&
+                           store.outcome(node) >= 0,
+                       "equivalence word not recorded");
+                if (store.outcome(node) != static_cast<int>(predicted[i])) {
+                    best = Word(word.begin(), word.begin() + i + 1);
                     break;
                 }
             }

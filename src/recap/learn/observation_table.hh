@@ -11,7 +11,10 @@
  * The table is backed by a PrefixStore of *whole-word* outcomes:
  * because every membership query observes every position, one
  * answered word fills the cells of all its prefixes at once, and the
- * same store doubles as the teacher-consistency ledger. S stays
+ * same store doubles as the teacher-consistency ledger. Rows are
+ * nodes of that tree; a row's cells are read by walking down from
+ * its node, and packed one bit per output into a signature that
+ * policy::StateIndex numbers, so equal rows share an id. S stays
  * prefix-closed and its rows pairwise distinct (the Rivest–Schapire
  * discipline), which keeps the table consistent by construction;
  * isConsistent() still verifies it for the invariant tests.
@@ -24,6 +27,7 @@
 #define RECAP_LEARN_OBSERVATION_TABLE_HH_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,32 +112,49 @@ class ObservationTable
 
   private:
     /**
-     * Incrementally maintained row: the key accumulates cell outputs
-     * suffix by suffix (cells are immutable once recorded, and E only
-     * grows, so nothing ever invalidates).
+     * One row: its tree node and its cells so far, one bit per
+     * output in suffix order (cells are immutable once recorded, and
+     * E only grows, so nothing ever invalidates).
      */
-    struct RowCache
+    struct Row
     {
-        std::string key;
+        uint32_t node = PrefixStore::kRoot;
         std::size_t suffixesDone = 0;
+        std::size_t bits = 0;
+        std::vector<uint32_t> cells;
     };
 
     /**
-     * Advances @p row's cache over newly answerable suffixes; when
-     * @p missing is non-null, unanswerable cell words are appended
-     * there. Returns true iff the row is complete.
+     * Advances @p row over newly answerable suffixes; when @p missing
+     * is non-null, unanswerable cell words are appended there.
+     * Returns true iff the row is complete.
      */
-    bool refreshRow(const Word& row, RowCache& cache,
-                    std::vector<Word>* missing) const;
+    bool refreshRow(Row& row, std::vector<Word>* missing) const;
 
-    /** Complete row key of @p row (requires all cells recorded). */
-    const std::string& cachedRowKey(const Word& row) const;
+    /** Complete signature of row @p r (requires all cells recorded). */
+    std::span<const uint32_t> signature(uint32_t r) const;
+
+    /** Row of S·A extension @p a of prefix @p i. */
+    uint32_t extensionRow(std::size_t i, Symbol a) const
+    {
+        return extensionRows_[i * alphabet_ + a];
+    }
+
+    /** Adds the S·A rows of the prefix whose row is @p row. */
+    void addExtensionRows(uint32_t row);
 
     unsigned alphabet_;
     std::vector<Word> prefixes_;
     std::vector<Word> suffixes_;
     PrefixStore store_;
-    mutable std::map<Word, RowCache> rowCache_;
+    /**
+     * Every row once: prefixRows_[i] is prefix i's row and
+     * extensionRows_ its S·A rows, so a promoted extension keeps its
+     * row.
+     */
+    mutable std::vector<Row> rows_;
+    std::vector<uint32_t> prefixRows_;
+    std::vector<uint32_t> extensionRows_;
 };
 
 } // namespace recap::learn

@@ -1,5 +1,7 @@
 #include "recap/learn/teacher.hh"
 
+#include <algorithm>
+
 #include "recap/common/error.hh"
 
 namespace recap::learn
@@ -74,19 +76,49 @@ OracleTeacher::answer(const std::vector<Word>& words)
     return answers;
 }
 
+PrefixStore::PrefixStore() : outcome_{-1}, parent_{kRoot}, symbol_{0} {}
+
+uint32_t
+PrefixStore::extend(uint32_t node, Symbol symbol)
+{
+    if (symbol >= fanout_) {
+        // Widen every node's child slots; symbols arrive in order
+        // while the tree is small, so this stays rare and cheap.
+        const std::size_t fanout = std::size_t{symbol} + 1;
+        std::vector<uint32_t> children(outcome_.size() * fanout, kAbsent);
+        for (std::size_t n = 0; n < outcome_.size(); ++n)
+            std::copy_n(children_.begin() + n * fanout_, fanout_,
+                        children.begin() + n * fanout);
+        children_ = std::move(children);
+        fanout_ = fanout;
+    }
+    uint32_t& slot = children_[std::size_t{node} * fanout_ + symbol];
+    if (slot != kAbsent)
+        return slot;
+    const auto id = static_cast<uint32_t>(outcome_.size());
+    ensure(id != kAbsent, "PrefixStore: more than 2^32 - 1 nodes");
+    slot = id;
+    outcome_.push_back(-1);
+    parent_.push_back(node);
+    symbol_.push_back(symbol);
+    children_.resize(children_.size() + fanout_, kAbsent);
+    return id;
+}
+
 PrefixStore::Recording
 PrefixStore::record(const Word& word, const std::vector<bool>& outputs)
 {
     require(word.size() == outputs.size(),
             "PrefixStore::record: length mismatch");
     Recording recording;
-    Word prefix;
-    prefix.reserve(word.size());
+    uint32_t node = kRoot;
     for (std::size_t i = 0; i < word.size(); ++i) {
-        prefix.push_back(word[i]);
-        const auto [it, inserted] =
-            outcomes_.try_emplace(prefix, outputs[i]);
-        if (!inserted && it->second != outputs[i]) {
+        node = extend(node, word[i]);
+        const int8_t output = outputs[i] ? 1 : 0;
+        if (outcome_[node] < 0) {
+            outcome_[node] = output;
+            ++recorded_;
+        } else if (outcome_[node] != output) {
             recording.consistent = false;
             recording.conflictAt = i + 1;
             return recording;
@@ -98,33 +130,43 @@ PrefixStore::record(const Word& word, const std::vector<bool>& outputs)
 int
 PrefixStore::lookup(const Word& word) const
 {
-    const auto it = outcomes_.find(word);
-    if (it == outcomes_.end())
-        return -1;
-    return it->second ? 1 : 0;
+    const uint32_t node = find(word);
+    return node == kAbsent ? -1 : outcome_[node];
 }
 
-uint64_t
-PrefixStore::countMismatches(const MealyMachine& machine) const
+Word
+PrefixStore::wordOf(uint32_t node) const
 {
-    uint64_t mismatches = 0;
-    for (const auto& [word, outcome] : outcomes_)
-        if (machine.lastOutput(word) != outcome)
-            ++mismatches;
-    return mismatches;
+    Word word;
+    for (; node != kRoot; node = parent_[node])
+        word.push_back(symbol_[node]);
+    std::reverse(word.begin(), word.end());
+    return word;
 }
 
 std::optional<Word>
 PrefixStore::firstMismatch(const MealyMachine& machine) const
 {
-    std::optional<Word> best;
-    for (const auto& [word, outcome] : outcomes_) {
-        if (best && word.size() >= best->size())
-            continue;
-        if (machine.lastOutput(word) != outcome)
-            best = word;
+    // Breadth first with children in symbol order visits the words
+    // shortest first, then lexicographically. Unrecorded nodes have
+    // no recorded descendants, so the walk stops at them.
+    std::vector<std::pair<uint32_t, unsigned>> level{{kRoot, 0}};
+    std::vector<std::pair<uint32_t, unsigned>> next;
+    while (!level.empty()) {
+        for (const auto& [node, state] : level) {
+            for (Symbol symbol = 0; symbol < fanout_; ++symbol) {
+                const uint32_t c = child(node, symbol);
+                if (c == kAbsent || outcome_[c] < 0)
+                    continue;
+                if (machine.output(state, symbol) != (outcome_[c] != 0))
+                    return wordOf(c);
+                next.emplace_back(c, machine.next(state, symbol));
+            }
+        }
+        level.swap(next);
+        next.clear();
     }
-    return best;
+    return std::nullopt;
 }
 
 } // namespace recap::learn

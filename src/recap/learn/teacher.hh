@@ -15,10 +15,11 @@
  * reach a quorum is flagged !determined, and the learner abstains
  * instead of learning from noise.
  *
- * PrefixStore is the teacher-consistency ledger: every answered word
- * contributes the outcome of each of its prefixes, and a later
- * answer that contradicts a recorded prefix exposes a garbled
- * (fault-injected) teacher. The learner turns such conflicts into
+ * PrefixStore is the learner's observation tree and its
+ * teacher-consistency ledger: every answered word contributes the
+ * outcome of each of its prefixes, and a later answer that
+ * contradicts a recorded prefix exposes a garbled (fault-injected)
+ * teacher. The learner turns such conflicts into
  * LearnOutcome::kAbstained rather than a wrong automaton.
  */
 
@@ -26,8 +27,8 @@
 #define RECAP_LEARN_TEACHER_HH_
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,14 +116,25 @@ class OracleTeacher : public Teacher
 };
 
 /**
- * Prefix-consistency ledger over answered words. Deterministic
- * teachers answer every prefix identically wherever it occurs;
- * record() reports a conflict (without overwriting the first
- * recording) when they don't.
+ * Prefix-consistency ledger over answered words, kept as one prefix
+ * tree. Node 0 is the empty word; every other node is a word, with
+ * its outcome (unknown, miss or hit) and one child slot per symbol.
+ * Deterministic teachers answer every prefix identically wherever it
+ * occurs; record() reports a conflict (without overwriting the first
+ * recording) when they don't. A recorded node's ancestors are all
+ * recorded, since record() fills a word's prefixes in order.
  */
 class PrefixStore
 {
   public:
+    /** The empty word's node. */
+    static constexpr uint32_t kRoot = 0;
+
+    /** No such node. */
+    static constexpr uint32_t kAbsent = UINT32_MAX;
+
+    PrefixStore();
+
     /** Result of recording one answered word. */
     struct Recording
     {
@@ -144,14 +156,7 @@ class PrefixStore
     int lookup(const Word& word) const;
 
     /** Number of distinct recorded prefixes. */
-    std::size_t size() const { return outcomes_.size(); }
-
-    /**
-     * Checks @p machine against every recorded prefix outcome;
-     * returns the number of disagreements (0 = the hypothesis
-     * explains all evidence seen so far).
-     */
-    uint64_t countMismatches(const MealyMachine& machine) const;
+    std::size_t size() const { return recorded_; }
 
     /**
      * The first (shortest, then lexicographically smallest) recorded
@@ -161,8 +166,43 @@ class PrefixStore
     std::optional<Word>
     firstMismatch(const MealyMachine& machine) const;
 
+    /** The child of @p node on @p symbol, or kAbsent. */
+    uint32_t child(uint32_t node, Symbol symbol) const
+    {
+        return symbol < fanout_
+                   ? children_[std::size_t{node} * fanout_ + symbol]
+                   : kAbsent;
+    }
+
+    /** The node of @p word below @p from, or kAbsent. */
+    uint32_t find(std::span<const Symbol> word,
+                  uint32_t from = kRoot) const
+    {
+        for (const Symbol symbol : word) {
+            from = child(from, symbol);
+            if (from == kAbsent)
+                break;
+        }
+        return from;
+    }
+
+    /** The child of @p node on @p symbol, added unrecorded if absent. */
+    uint32_t extend(uint32_t node, Symbol symbol);
+
+    /** -1 when @p node is unrecorded, else its outcome 0/1. */
+    int outcome(uint32_t node) const { return outcome_[node]; }
+
+    /** The word of @p node. */
+    Word wordOf(uint32_t node) const;
+
   private:
-    std::map<Word, bool> outcomes_;
+    /** Child slots per node: one more than the largest symbol seen. */
+    std::size_t fanout_ = 0;
+    std::vector<uint32_t> children_; ///< node * fanout_ + symbol
+    std::vector<int8_t> outcome_;
+    std::vector<uint32_t> parent_;
+    std::vector<Symbol> symbol_; ///< the edge from parent_
+    std::size_t recorded_ = 0;
 };
 
 } // namespace recap::learn

@@ -29,16 +29,15 @@ hashWords(std::span<const uint32_t> words)
 } // namespace
 
 StateIndex::StateIndex(unsigned width)
-    : width_(width), slots_(1024)
+    : width_(width), slots_(std::size_t{1} << (32 - kShift)), shift_(kShift)
 {}
 
 std::pair<uint32_t, bool>
 StateIndex::intern(std::span<const uint32_t> record, uint64_t limit)
 {
-    const uint64_t h = hashWords(record);
-    const auto tag = static_cast<uint32_t>(h >> 32);
+    const auto tag = static_cast<uint32_t>(hashWords(record) >> 32);
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = tag >> shift_;; i = (i + 1) & mask) {
         Slot& slot = slots_[i];
         if (slot.idPlusOne == 0) {
             if (size() >= limit)
@@ -63,16 +62,37 @@ StateIndex::intern(std::span<const uint32_t> record, uint64_t limit)
 }
 
 void
+StateIndex::clear()
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < size(); ++id) {
+        const auto tag = static_cast<uint32_t>(hashWords(record(id)) >> 32);
+        std::size_t i = tag >> shift_;
+        while (slots_[i].idPlusOne != id + 1)
+            i = (i + 1) & mask;
+        slots_[i] = Slot{};
+    }
+    size_ = 0;
+    words_.clear();
+    ends_.clear();
+}
+
+void
 StateIndex::grow()
 {
+    // A slot's home is the top bits of its tag, so moving it needs
+    // neither its record nor its hash.
+    ensure(shift_ > 0, "StateIndex: more than 2^32 slots");
+    --shift_;
     std::vector<Slot> slots(2 * slots_.size());
     const std::size_t mask = slots.size() - 1;
-    for (uint32_t id = 0; id < size(); ++id) {
-        const uint64_t h = hashWords(record(id));
-        std::size_t i = h & mask;
+    for (const Slot& slot : slots_) {
+        if (slot.idPlusOne == 0)
+            continue;
+        std::size_t i = slot.tag >> shift_;
         while (slots[i].idPlusOne != 0)
             i = (i + 1) & mask;
-        slots[i] = Slot{static_cast<uint32_t>(h >> 32), id + 1};
+        slots[i] = slot;
     }
     slots_ = std::move(slots);
 }

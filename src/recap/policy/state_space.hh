@@ -24,7 +24,8 @@ namespace recap::policy
 /**
  * Open-addressing index from word records (all @p width words long,
  * or of any length for width 0) to ids; slots hold a hash tag and an
- * id, the records live back to back.
+ * id, the records live back to back. A record's home slot is the top
+ * bits of its tag.
  */
 class StateIndex
 {
@@ -34,6 +35,13 @@ class StateIndex
     explicit StateIndex(unsigned width = 0);
 
     uint32_t size() const { return size_; }
+
+    /**
+     * Forgets every record but keeps the slots, so a search that
+     * reuses one index pays for the records it interned, not for the
+     * largest table an earlier search grew.
+     */
+    void clear();
 
     /**
      * The id of @p record and whether it is new; kFull when it is new
@@ -59,11 +67,15 @@ class StateIndex
 
     void grow();
 
+    /** 1024 slots to start with. */
+    static constexpr unsigned kShift = 22;
+
     unsigned width_;
     uint32_t size_ = 0;
     std::vector<uint32_t> words_;
     std::vector<std::size_t> ends_; ///< width 0: one past each record
     std::vector<Slot> slots_;
+    unsigned shift_; ///< the home slot of tag t is t >> shift_
 };
 
 /**

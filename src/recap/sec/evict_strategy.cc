@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <deque>
 #include <limits>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "recap/common/error.hh"
 #include "recap/policy/factory.hh"
+#include "recap/policy/state_space.hh"
 
 namespace recap::sec
 {
@@ -17,6 +17,40 @@ namespace
 {
 
 constexpr uint32_t kUnset = std::numeric_limits<uint32_t>::max();
+
+/**
+ * Predecessor lists in one array: the predecessors of node i are
+ * items[start[i] .. start[i + 1]), in edge order.
+ */
+struct Preds
+{
+    std::vector<uint32_t> start;
+    std::vector<uint32_t> items;
+
+    std::span<const uint32_t> of(uint32_t i) const
+    {
+        return {items.data() + start[i], items.data() + start[i + 1]};
+    }
+};
+
+/** Preds of @p n nodes from edges to[e] <- item[e]. */
+Preds
+predsOf(uint32_t n, const std::vector<uint32_t>& to,
+        const std::vector<uint32_t>& item)
+{
+    Preds preds;
+    preds.start.assign(std::size_t{n} + 1, 0);
+    for (const uint32_t t : to)
+        ++preds.start[t + 1];
+    for (uint32_t i = 0; i < n; ++i)
+        preds.start[i + 1] += preds.start[i];
+    std::vector<uint32_t> cursor(preds.start.begin(),
+                                 preds.start.end() - 1);
+    preds.items.resize(to.size());
+    for (std::size_t e = 0; e < to.size(); ++e)
+        preds.items[cursor[to[e]]++] = item[e];
+    return preds;
+}
 
 /**
  * Blind-tier analysis: for every full-set-reachable state s and
@@ -28,8 +62,8 @@ constexpr uint32_t kUnset = std::numeric_limits<uint32_t>::max();
  */
 struct PureMissAnalysis
 {
-    std::vector<uint32_t> states;           ///< full-set reachable
-    std::unordered_map<uint32_t, uint32_t> indexOf;
+    std::vector<uint32_t> states; ///< full-set reachable
+    std::vector<uint32_t> indexOf; ///< table state -> index, or kUnset
     std::vector<std::vector<uint32_t>> distByWay; ///< [way][stateIdx]
     bool unbounded = false;
     uint64_t maxLen = 0;
@@ -43,24 +77,27 @@ analyzePureMiss(const policy::CompiledTableView& view)
     PureMissAnalysis a;
     a.states = view.fullSetReachable();
     const auto n = static_cast<uint32_t>(a.states.size());
-    a.indexOf.reserve(n);
+    a.indexOf.assign(view.numStates(), kUnset);
     for (uint32_t i = 0; i < n; ++i)
-        a.indexOf.emplace(a.states[i], i);
+        a.indexOf[a.states[i]] = i;
 
     // The miss-chain successor s -> fill(s, victim(s)), as indices.
     std::vector<uint32_t> succ(n);
-    std::vector<std::vector<uint32_t>> preds(n);
+    std::vector<uint32_t> from(n);
     for (uint32_t i = 0; i < n; ++i) {
         const uint32_t s = a.states[i];
-        const uint32_t next = view.fillNext(s, view.victim(s));
-        succ[i] = a.indexOf.at(next);
-        preds[succ[i]].push_back(i);
+        succ[i] = a.indexOf[view.fillNext(s, view.victim(s))];
+        ensure(succ[i] != kUnset, "analyzePureMiss: miss leaves the set");
+        from[i] = i;
     }
+    const Preds preds = predsOf(n, succ, from);
 
     a.distByWay.assign(k, std::vector<uint32_t>(n, kUnset));
+    std::vector<uint32_t> frontier;
+    frontier.reserve(n);
     for (unsigned w = 0; w < k; ++w) {
         auto& dist = a.distByWay[w];
-        std::deque<uint32_t> frontier;
+        frontier.clear();
         // A state whose next miss targets way w evicts the victim
         // there in exactly one access.
         for (uint32_t i = 0; i < n; ++i) {
@@ -69,11 +106,10 @@ analyzePureMiss(const policy::CompiledTableView& view)
                 frontier.push_back(i);
             }
         }
-        while (!frontier.empty()) {
-            const uint32_t i = frontier.front();
-            frontier.pop_front();
+        for (std::size_t head = 0; head < frontier.size(); ++head) {
+            const uint32_t i = frontier[head];
             ++a.configsExplored;
-            for (const uint32_t p : preds[i]) {
+            for (const uint32_t p : preds.of(i)) {
                 // A goal state's distance is 1 no matter where its
                 // chain continues; only non-goal states inherit.
                 if (dist[p] != kUnset)
@@ -94,19 +130,20 @@ analyzePureMiss(const policy::CompiledTableView& view)
 
 /**
  * Informed-tier product graph: configurations are (control state,
- * victim way, attacker-residency mask over the non-victim ways).
- * Edges are touches of resident attacker lines and one collapsed
- * "miss with any non-resident attacker line" edge; a miss whose
- * victim way is the target's way evicts the target (an edge to the
- * goal). Built forward from every (reachable state, victim way,
- * empty mask) seed, then distances to the goal are computed by
- * reverse BFS — once per line-pool cap m, since the cap only gates
- * miss edges out of configurations with popcount(mask) >= m.
+ * victim way, attacker-residency mask over the non-victim ways),
+ * numbered in discovery order by a policy::StateIndex. Edges are
+ * touches of resident attacker lines and one collapsed "miss with
+ * any non-resident attacker line" edge; a miss whose victim way is
+ * the target's way evicts the target (an edge to the goal). Built
+ * forward from every (reachable state, victim way, empty mask) seed,
+ * then distances to the goal are computed by reverse BFS — once per
+ * line-pool cap m, since the cap only gates miss edges out of
+ * configurations with popcount(mask) >= m.
  */
 struct InformedGraph
 {
-    std::vector<uint64_t> keys;      ///< (state*k + vw) << k | mask
-    std::vector<std::vector<uint32_t>> preds; ///< fromIdx<<1|isMiss
+    std::vector<uint8_t> lines;      ///< popcount(mask) per config
+    Preds preds;                     ///< fromIdx<<1|isMiss
     std::vector<uint32_t> goalPreds; ///< fromIdx (always a miss)
     uint32_t numInitial = 0;         ///< seeds occupy indices [0, n)
     bool overBudget = false;
@@ -121,19 +158,16 @@ buildInformedGraph(const policy::CompiledTableView& view,
     const unsigned k = view.ways();
     InformedGraph g;
 
-    std::unordered_map<uint64_t, uint32_t> index;
-    const auto keyOf = [k](uint32_t state, unsigned vw,
-                           uint32_t mask) {
-        return ((uint64_t{state} * k + vw) << k) | mask;
-    };
-    const auto intern = [&](uint64_t key) -> uint32_t {
-        const auto it = index.find(key);
-        if (it != index.end())
-            return it->second;
-        const auto id = static_cast<uint32_t>(g.keys.size());
-        index.emplace(key, id);
-        g.keys.push_back(key);
-        g.preds.emplace_back();
+    // A config is the two halves of ((state*k + vw) << k) | mask.
+    policy::StateIndex index(2);
+    const auto intern = [&](uint32_t state, unsigned vw,
+                            uint32_t mask) -> uint32_t {
+        const uint64_t key = ((uint64_t{state} * k + vw) << k) | mask;
+        const uint32_t record[2] = {static_cast<uint32_t>(key),
+                                    static_cast<uint32_t>(key >> 32)};
+        const auto [id, fresh] = index.intern(record);
+        if (fresh)
+            g.lines.push_back(static_cast<uint8_t>(std::popcount(mask)));
         return id;
     };
 
@@ -142,32 +176,37 @@ buildInformedGraph(const policy::CompiledTableView& view,
     // attacker starts cold against an arbitrary warm set" opening.
     for (const uint32_t s : fullStates)
         for (unsigned vw = 0; vw < k; ++vw)
-            intern(keyOf(s, vw, 0));
-    g.numInitial = static_cast<uint32_t>(g.keys.size());
+            intern(s, vw, 0);
+    g.numInitial = index.size();
     if (g.numInitial > maxConfigs) {
         g.overBudget = true;
         return g;
     }
 
-    for (uint32_t at = 0; at < g.keys.size(); ++at) {
-        if (g.keys.size() > maxConfigs) {
+    std::vector<uint32_t> edgeTo;
+    std::vector<uint32_t> edgeFrom;
+    const auto edge = [&](uint32_t to, uint32_t from) {
+        edgeTo.push_back(to);
+        edgeFrom.push_back(from);
+    };
+    for (uint32_t at = 0; at < index.size(); ++at) {
+        if (index.size() > maxConfigs) {
             g.overBudget = true;
             return g;
         }
         ++g.configsExplored;
-        const uint64_t key = g.keys[at];
+        const auto record = index.record(at);
+        const uint64_t key = record[0] | uint64_t{record[1]} << 32;
         const auto mask = static_cast<uint32_t>(key & ((1u << k) - 1));
-        const auto packed = static_cast<uint32_t>(key >> k);
-        const uint32_t state = packed / k;
-        const unsigned vw = packed % k;
+        const auto packed = key >> k;
+        const auto state = static_cast<uint32_t>(packed / k);
+        const auto vw = static_cast<unsigned>(packed % k);
 
         // Touch any resident attacker line.
         for (unsigned w = 0; w < k; ++w) {
             if (!(mask & (1u << w)))
                 continue;
-            const uint32_t to =
-                intern(keyOf(view.touchNext(state, w), vw, mask));
-            g.preds[to].push_back(at << 1);
+            edge(intern(view.touchNext(state, w), vw, mask), at << 1);
         }
         // Miss with a non-resident line (pool permitting — the cap
         // is applied during the distance pass, not here).
@@ -175,11 +214,11 @@ buildInformedGraph(const policy::CompiledTableView& view,
         if (v == vw) {
             g.goalPreds.push_back(at);
         } else {
-            const uint32_t to = intern(keyOf(
-                view.fillNext(state, v), vw, mask | (1u << v)));
-            g.preds[to].push_back((at << 1) | 1u);
+            edge(intern(view.fillNext(state, v), vw, mask | (1u << v)),
+                 (at << 1) | 1u);
         }
     }
+    g.preds = predsOf(index.size(), edgeTo, edgeFrom);
     return g;
 }
 
@@ -189,30 +228,25 @@ buildInformedGraph(const policy::CompiledTableView& view,
  * if some seed cannot reach the goal under this pool.
  */
 uint64_t
-informedWorstCase(const InformedGraph& g, unsigned k,
-                  unsigned poolSize, uint64_t* explored)
+informedWorstCase(const InformedGraph& g, unsigned poolSize,
+                  uint64_t* explored)
 {
-    const auto maskOf = [k](uint64_t key) {
-        return static_cast<uint32_t>(key & ((1u << k) - 1));
-    };
     const auto missAllowed = [&](uint32_t from) {
-        return std::popcount(maskOf(g.keys[from])) <
-               static_cast<int>(poolSize);
+        return g.lines[from] < poolSize;
     };
 
-    std::vector<uint32_t> dist(g.keys.size(), kUnset);
-    std::deque<uint32_t> frontier;
+    std::vector<uint32_t> dist(g.lines.size(), kUnset);
+    std::vector<uint32_t> frontier;
     for (const uint32_t from : g.goalPreds) {
         if (dist[from] == kUnset && missAllowed(from)) {
             dist[from] = 1;
             frontier.push_back(from);
         }
     }
-    while (!frontier.empty()) {
-        const uint32_t i = frontier.front();
-        frontier.pop_front();
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+        const uint32_t i = frontier[head];
         ++*explored;
-        for (const uint32_t edge : g.preds[i]) {
+        for (const uint32_t edge : g.preds.of(i)) {
             const uint32_t p = edge >> 1;
             if (dist[p] != kUnset)
                 continue;
@@ -285,7 +319,7 @@ evictStrategy(const policy::CompiledTableView& view,
     // Unlimited pool: with the victim resident, at most k - 1
     // attacker lines fit, so a pool of k lines never runs dry.
     const uint64_t unlimited =
-        informedWorstCase(g, k, k, &result.configsExplored);
+        informedWorstCase(g, k, &result.configsExplored);
     if (unlimited == kUnset) {
         result.informedUnbounded = true;
         return result;
@@ -294,7 +328,7 @@ evictStrategy(const policy::CompiledTableView& view,
 
     for (unsigned m = 1; m <= k; ++m) {
         const uint64_t len =
-            informedWorstCase(g, k, m, &result.configsExplored);
+            informedWorstCase(g, m, &result.configsExplored);
         if (len != kUnset) {
             result.informedMinLines = m;
             result.informedLenAtMinLines = len;
@@ -346,7 +380,8 @@ crossCheckEvictBound(const std::string& spec, unsigned ways,
 
     const PureMissAnalysis pure = analyzePureMiss(*view);
     const uint32_t filled = view->filledState();
-    const uint32_t idx = pure.indexOf.at(filled);
+    const uint32_t idx = pure.indexOf[filled];
+    ensure(idx != kUnset, "crossCheckEvictBound: prime state unreachable");
     for (unsigned w = 0; w < ways; ++w) {
         const uint32_t d = pure.distByWay[w][idx];
         if (d == kUnset || d > b + 1) {

@@ -1,11 +1,11 @@
 #include "recap/sec/stealth.hh"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "recap/common/error.hh"
+#include "recap/policy/state_space.hh"
 
 namespace recap::sec
 {
@@ -13,13 +13,7 @@ namespace recap::sec
 namespace
 {
 
-/** Pair-BFS node: idle-branch state, active-branch state, phase. */
-uint64_t
-nodeKey(uint32_t state0, uint32_t state1, unsigned restored,
-        uint32_t numStates)
-{
-    return (uint64_t{state0} * numStates + state1) * 2 + restored;
-}
+constexpr uint32_t kUnset = UINT32_MAX;
 
 struct CycleSearch
 {
@@ -29,43 +23,53 @@ struct CycleSearch
 };
 
 /**
+ * The pair-BFS nodes (idle-branch state, active-branch state, phase)
+ * in discovery order, each with its parent id and probed way; kept
+ * across start states so each search reuses the buffers.
+ */
+struct CycleNodes
+{
+    policy::StateIndex index{2}; ///< state0, state1 * 2 + restored
+    std::vector<uint32_t> parent;
+    std::vector<uint8_t> way;
+};
+
+/**
  * Shortest probe word closing a stealthy cycle at @p s0, or not
  * found. @p explored counts nodes globally; the search aborts once
  * it crosses @p maxConfigs (caller reports over-budget).
  */
 CycleSearch
 shortestCycleAt(const policy::CompiledTableView& view, uint32_t s0,
-                uint64_t maxConfigs, uint64_t* explored)
+                uint64_t maxConfigs, uint64_t* explored,
+                CycleNodes& nodes)
 {
     const unsigned k = view.ways();
-    const uint32_t n = view.numStates();
     const policy::Way vstar = view.victim(s0);
 
     CycleSearch result;
+    nodes.index.clear();
+    nodes.parent.clear();
+    nodes.way.clear();
+    const auto intern = [&](uint32_t state0, uint32_t state1,
+                            unsigned restored) {
+        const uint32_t record[2] = {state0, state1 * 2 + restored};
+        return nodes.index.intern(record);
+    };
 
-    // Parent map doubles as the visited set: node -> (parent node,
-    // probed way). The start node is its own parent.
-    std::unordered_map<uint64_t, std::pair<uint64_t, uint8_t>>
-        parent;
-    std::deque<uint64_t> frontier;
+    // The start node is id 0 and its own parent.
+    intern(s0, view.fillNext(s0, vstar), 0);
+    nodes.parent.push_back(0);
+    nodes.way.push_back(0);
 
-    const uint64_t start =
-        nodeKey(s0, view.fillNext(s0, vstar), 0, n);
-    const uint64_t goal = nodeKey(s0, s0, 1, n);
-    parent.emplace(start, std::make_pair(start, uint8_t{0}));
-    frontier.push_back(start);
-
-    while (!frontier.empty()) {
-        const uint64_t node = frontier.front();
-        frontier.pop_front();
+    for (uint32_t at = 0; at < nodes.index.size(); ++at) {
         if (++*explored > maxConfigs)
             return result;
 
-        const unsigned restored = node & 1;
-        const uint32_t state1 =
-            static_cast<uint32_t>((node >> 1) % n);
-        const uint32_t state0 =
-            static_cast<uint32_t>((node >> 1) / n);
+        const auto record = nodes.index.record(at);
+        const uint32_t state0 = record[0];
+        const uint32_t state1 = record[1] >> 1;
+        const unsigned restored = record[1] & 1;
 
         for (unsigned w = 0; w < k; ++w) {
             // Idle branch: the set is entirely attacker-owned, so
@@ -84,30 +88,23 @@ shortestCycleAt(const policy::CompiledTableView& view, uint32_t s0,
             } else {
                 next1 = view.touchNext(state1, w);
             }
-            const uint64_t next =
-                nodeKey(next0, next1, nextRestored, n);
-            if (!parent
-                     .emplace(next,
-                              std::make_pair(node,
-                                             static_cast<uint8_t>(w)))
-                     .second) {
+            const auto [next, fresh] =
+                intern(next0, next1, nextRestored);
+            if (!fresh)
                 continue;
-            }
-            if (next == goal) {
+            nodes.parent.push_back(at);
+            nodes.way.push_back(static_cast<uint8_t>(w));
+            if (next0 == s0 && next1 == s0 && nextRestored == 1) {
                 // Reconstruct the probe word back to the start.
                 result.found = true;
-                uint64_t at = next;
-                while (at != start) {
-                    const auto& [prev, way] = parent.at(at);
-                    result.word.push_back(way);
-                    at = prev;
-                }
+                for (uint32_t node = next; node != 0;
+                     node = nodes.parent[node])
+                    result.word.push_back(nodes.way[node]);
                 std::reverse(result.word.begin(),
                              result.word.end());
                 result.length = result.word.size();
                 return result;
             }
-            frontier.push_back(next);
         }
     }
     return result;
@@ -141,20 +138,19 @@ stealthProbe(const policy::CompiledTableView& view,
     // Start states the attacker can prepare: BFS from the canonical
     // prime over touches and self-conflict misses, with the BFS
     // depth as the preparation cost.
-    std::unordered_map<uint32_t, uint32_t> prepDist;
-    std::deque<uint32_t> prepFrontier;
+    require(view.numStates() <= UINT32_MAX / 2,
+            "stealthProbe: too many states");
+    std::vector<uint32_t> prepDist(view.numStates(), kUnset);
     const uint32_t prime = view.filledState();
-    prepDist.emplace(prime, 0);
-    prepFrontier.push_back(prime);
-    std::vector<uint32_t> startOrder;
-    while (!prepFrontier.empty()) {
-        const uint32_t s = prepFrontier.front();
-        prepFrontier.pop_front();
-        startOrder.push_back(s);
-        const uint32_t d = prepDist.at(s);
+    prepDist[prime] = 0;
+    std::vector<uint32_t> startOrder{prime};
+    for (std::size_t head = 0; head < startOrder.size(); ++head) {
+        const uint32_t s = startOrder[head];
         const auto push = [&](uint32_t next) {
-            if (prepDist.emplace(next, d + 1).second)
-                prepFrontier.push_back(next);
+            if (prepDist[next] == kUnset) {
+                prepDist[next] = prepDist[s] + 1;
+                startOrder.push_back(next);
+            }
         };
         for (unsigned w = 0; w < k; ++w)
             push(view.touchNext(s, w));
@@ -164,18 +160,20 @@ stealthProbe(const policy::CompiledTableView& view,
     // Pair-BFS per candidate start, cheapest preparation first;
     // keep the lexicographically best (probe length, prep length).
     bool exhausted = false;
+    CycleNodes nodes;
     for (const uint32_t s0 : startOrder) {
         if (result.configsExplored >= budget.maxConfigs) {
             exhausted = true;
             break;
         }
-        const CycleSearch cycle = shortestCycleAt(
-            view, s0, budget.maxConfigs, &result.configsExplored);
+        const CycleSearch cycle =
+            shortestCycleAt(view, s0, budget.maxConfigs,
+                            &result.configsExplored, nodes);
         if (result.configsExplored > budget.maxConfigs)
             exhausted = true;
         if (!cycle.found)
             continue;
-        const uint64_t prep = prepDist.at(s0);
+        const uint64_t prep = prepDist[s0];
         if (!result.feasible || cycle.length < result.probeLen ||
             (cycle.length == result.probeLen &&
              prep < result.prepLen)) {

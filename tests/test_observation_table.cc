@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
 #include "recap/common/error.hh"
+#include "recap/common/rng.hh"
 #include "recap/learn/lstar.hh"
 #include "recap/learn/observation_table.hh"
 #include "recap/learn/teacher.hh"
@@ -136,6 +140,164 @@ TEST(ObservationTable, BuildHypothesisRequiresFilledTable)
 {
     const ObservationTable table(2);
     EXPECT_THROW(table.buildHypothesis(), UsageError);
+}
+
+/**
+ * The word-keyed store the observation tree replaced, kept as the
+ * reference: one map entry per recorded prefix, first recording wins.
+ */
+class MapStore
+{
+  public:
+    learn::PrefixStore::Recording
+    record(const Word& word, const std::vector<bool>& outputs)
+    {
+        learn::PrefixStore::Recording recording;
+        Word prefix;
+        for (std::size_t i = 0; i < word.size(); ++i) {
+            prefix.push_back(word[i]);
+            const auto [it, inserted] =
+                outcomes_.try_emplace(prefix, outputs[i]);
+            if (!inserted && it->second != outputs[i]) {
+                recording.consistent = false;
+                recording.conflictAt = i + 1;
+                return recording;
+            }
+        }
+        return recording;
+    }
+
+    int lookup(const Word& word) const
+    {
+        const auto it = outcomes_.find(word);
+        return it == outcomes_.end() ? -1 : it->second ? 1 : 0;
+    }
+
+    std::size_t size() const { return outcomes_.size(); }
+
+    std::optional<Word> firstMismatch(const MealyMachine& machine) const
+    {
+        std::optional<Word> best;
+        for (const auto& [word, outcome] : outcomes_) {
+            if (best && word.size() >= best->size())
+                continue;
+            if (machine.lastOutput(word) != outcome)
+                best = word;
+        }
+        return best;
+    }
+
+  private:
+    std::map<Word, bool> outcomes_;
+};
+
+MealyMachine
+randomMachine(Rng& rng, unsigned states, unsigned alphabet)
+{
+    MealyMachine m(states, alphabet);
+    for (unsigned s = 0; s < states; ++s)
+        for (learn::Symbol a = 0; a < alphabet; ++a)
+            m.setTransition(s, a,
+                            static_cast<unsigned>(rng.nextBelow(states)),
+                            rng.nextBool(0.5));
+    return m;
+}
+
+/** Words that often extend or share a prefix with earlier ones. */
+Word
+randomWord(Rng& rng, unsigned alphabet, const std::vector<Word>& earlier)
+{
+    Word word;
+    if (!earlier.empty() && rng.nextBool(0.7)) {
+        const Word& base = earlier[rng.nextBelow(earlier.size())];
+        word.assign(base.begin(),
+                    base.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.nextBelow(base.size() + 1)));
+    }
+    const auto extra = rng.nextBelow(9);
+    for (uint64_t i = 0; i < extra; ++i)
+        word.push_back(static_cast<learn::Symbol>(rng.nextBelow(alphabet)));
+    return word;
+}
+
+TEST(ObservationTable, StoreMatchesMapReferenceOnRandomWords)
+{
+    for (const unsigned alphabet : {2u, 5u, 17u, 33u}) {
+        Rng rng(1000 + alphabet);
+        const MealyMachine truth = randomMachine(rng, 6, alphabet);
+        learn::PrefixStore tree;
+        MapStore map;
+        std::vector<Word> words;
+        unsigned conflicts = 0;
+        for (unsigned n = 0; n < 3000; ++n) {
+            const Word word = randomWord(rng, alphabet, words);
+            std::vector<bool> outputs = truth.run(word);
+            // A garbled answer now and then: one flipped position.
+            if (!word.empty() && rng.nextBool(0.05)) {
+                const auto at = rng.nextBelow(word.size());
+                outputs[at] = !outputs[at];
+            }
+            const auto got = tree.record(word, outputs);
+            const auto want = map.record(word, outputs);
+            ASSERT_EQ(got.consistent, want.consistent) << alphabet;
+            ASSERT_EQ(got.conflictAt, want.conflictAt) << alphabet;
+            if (!got.consistent) {
+                // The first recording wins.
+                ++conflicts;
+                const Word prefix(word.begin(),
+                                  word.begin() + static_cast<std::ptrdiff_t>(
+                                                     got.conflictAt));
+                EXPECT_EQ(tree.lookup(prefix),
+                          outputs[got.conflictAt - 1] ? 0 : 1);
+            }
+            words.push_back(word);
+        }
+        EXPECT_GT(conflicts, 0u) << alphabet;
+        EXPECT_EQ(tree.size(), map.size()) << alphabet;
+        EXPECT_EQ(tree.lookup({}), -1);
+        EXPECT_EQ(map.lookup({}), -1);
+        for (unsigned n = 0; n < 3000; ++n) {
+            // Recorded words, their prefixes, and (mostly) unknown ones.
+            const Word word = n % 2 == 0
+                                  ? words[rng.nextBelow(words.size())]
+                                  : randomWord(rng, alphabet, {});
+            for (std::size_t len = 0; len <= word.size(); ++len) {
+                const Word prefix(word.begin(),
+                                  word.begin() +
+                                      static_cast<std::ptrdiff_t>(len));
+                ASSERT_EQ(tree.lookup(prefix), map.lookup(prefix))
+                    << alphabet;
+            }
+        }
+        unsigned mismatched = 0;
+        for (unsigned m = 0; m < 20; ++m) {
+            const MealyMachine machine =
+                m == 0 ? truth : randomMachine(rng, 1 + m % 7, alphabet);
+            const auto got = tree.firstMismatch(machine);
+            EXPECT_EQ(got, map.firstMismatch(machine)) << alphabet;
+            mismatched += got.has_value();
+        }
+        EXPECT_GT(mismatched, 0u) << alphabet;
+    }
+}
+
+TEST(ObservationTable, StoreOfCleanAnswersHasNoMismatch)
+{
+    for (const unsigned alphabet : {2u, 5u, 17u, 33u}) {
+        Rng rng(2000 + alphabet);
+        const MealyMachine truth = randomMachine(rng, 5, alphabet);
+        learn::PrefixStore tree;
+        MapStore map;
+        std::vector<Word> words;
+        for (unsigned n = 0; n < 500; ++n) {
+            words.push_back(randomWord(rng, alphabet, words));
+            ASSERT_TRUE(tree.record(words.back(), truth.run(words.back()))
+                            .consistent);
+            map.record(words.back(), truth.run(words.back()));
+        }
+        EXPECT_EQ(tree.firstMismatch(truth), std::nullopt) << alphabet;
+        EXPECT_EQ(map.firstMismatch(truth), std::nullopt) << alphabet;
+    }
 }
 
 TEST(ObservationTable, LearnerMaintainsInvariantsAndSuffixBound)
