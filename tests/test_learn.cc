@@ -138,7 +138,8 @@ TEST(Learn, SampledRunsAtFourWaysPinWordsAndAccesses)
 {
     // The words L* asks follow only from its promotion order and
     // batches, so the learner's bookkeeping can change without
-    // moving a single count below.
+    // moving a single count below. The teacher's experiments and
+    // batch statistics pin how the query evaluator shares them.
     struct Pin
     {
         const char* spec;
@@ -147,13 +148,22 @@ TEST(Learn, SampledRunsAtFourWaysPinWordsAndAccesses)
         uint64_t accesses;
         unsigned refinements;
         unsigned suffixCount;
+        uint64_t experiments;
+        query::BatchStats stats;
     };
-    for (const Pin& pin : {Pin{"lru", 175'715, 155'992, 296'169, 16, 21},
-                           Pin{"plru", 384'592, 185'656, 583'237, 20, 25},
-                           Pin{"fifo", 209'481, 185'656, 601'902, 20, 25}}) {
+    const Pin pins[] = {
+        {"lru", 175'715, 155'992, 296'169, 16, 21, 111'678,
+         {175'715, 1'593'467, 296'169, 111'678, 64'037, 1'297'298}},
+        {"plru", 384'592, 185'656, 583'237, 20, 25, 233'229,
+         {384'592, 3'567'955, 583'237, 233'229, 151'363, 2'984'718}},
+        {"fifo", 209'481, 185'656, 601'902, 20, 25, 132'194,
+         {209'481, 2'149'574, 601'902, 132'194, 77'287, 1'547'672}}};
+    for (const Pin& pin : pins) {
         LearnOptions options;
         options.numThreads = 1;
-        const auto result = learnPolicy(pin.spec, 4, options);
+        query::PolicyOracle oracle(pin.spec, 4);
+        learn::OracleTeacher teacher(oracle);
+        const auto result = LStarLearner(teacher, options).run();
         ASSERT_EQ(result.outcome, LearnOutcome::kLearned)
             << pin.spec << ": " << result.diagnostics;
         EXPECT_EQ(result.states, 206u) << pin.spec;
@@ -165,6 +175,16 @@ TEST(Learn, SampledRunsAtFourWaysPinWordsAndAccesses)
         EXPECT_EQ(result.accessesUsed, pin.accesses) << pin.spec;
         EXPECT_EQ(result.refinements, pin.refinements) << pin.spec;
         EXPECT_EQ(result.suffixCount, pin.suffixCount) << pin.spec;
+        EXPECT_EQ(teacher.experimentsUsed(), pin.experiments) << pin.spec;
+        const query::BatchStats& stats = teacher.batchStats();
+        EXPECT_EQ(stats.queries, pin.stats.queries) << pin.spec;
+        EXPECT_EQ(stats.naiveCost, pin.stats.naiveCost) << pin.spec;
+        EXPECT_EQ(stats.sharedCost, pin.stats.sharedCost) << pin.spec;
+        EXPECT_EQ(stats.experimentsRun, pin.stats.experimentsRun)
+            << pin.spec;
+        EXPECT_EQ(stats.experimentsSaved, pin.stats.experimentsSaved)
+            << pin.spec;
+        EXPECT_EQ(stats.prefixReuses, pin.stats.prefixReuses) << pin.spec;
     }
 }
 
