@@ -19,6 +19,15 @@ using policy::BlockId;
 using policy::ReplacementPolicy;
 using policy::SetStates;
 
+/** The compile budget of an exploration under @p cfg. */
+policy::CompileBudget
+budgetOf(const PredictabilityConfig& cfg)
+{
+    policy::CompileBudget budget;
+    budget.maxStates = cfg.maxStates;
+    return budget;
+}
+
 /**
  * @p explore on @p proto compiled within the exploration budget, else
  * on @p proto: CompiledPolicy's packs map one to one onto the source
@@ -29,9 +38,7 @@ MetricResult
 onCompiledOrSource(const ReplacementPolicy& proto,
                    const PredictabilityConfig& cfg, Explore explore)
 {
-    policy::CompileBudget budget;
-    budget.maxStates = cfg.maxStates;
-    if (const auto table = policy::compilePolicy(proto, budget))
+    if (const auto table = policy::compilePolicy(proto, budgetOf(cfg)))
         return explore(policy::CompiledPolicy(table), cfg);
     return explore(proto, cfg);
 }
@@ -245,11 +252,20 @@ predictabilitySweep(const std::vector<std::string>& specs,
 
     // Each row explores its own automaton; explorations share nothing
     // and use no RNG, so the grid is identical for any thread count.
+    // Both metrics run on one table from the process-wide memo, which
+    // other analyses of the same spec have often filled already.
     parallelFor(rows.size(), cfg.numThreads, [&](std::size_t i) {
-        const auto proto = policy::makePolicy(rows[i].spec,
-                                              rows[i].ways);
-        rows[i].turnover = missTurnover(*proto, cfg);
-        rows[i].evictBound = evictBound(*proto, cfg);
+        PredictabilityRow& row = rows[i];
+        if (const auto table = policy::compiledTableFor(
+                row.spec, row.ways, budgetOf(cfg))) {
+            const policy::CompiledPolicy compiled(table);
+            row.turnover = missTurnoverImpl(compiled, cfg);
+            row.evictBound = evictBoundImpl(compiled, cfg);
+        } else {
+            const auto proto = policy::makePolicy(row.spec, row.ways);
+            row.turnover = missTurnoverImpl(*proto, cfg);
+            row.evictBound = evictBoundImpl(*proto, cfg);
+        }
     });
     return rows;
 }

@@ -7,22 +7,6 @@
 namespace recap::learn
 {
 
-namespace
-{
-
-/** Compiles a word into an observe-every-position query. */
-query::CompiledQuery
-wordQuery(const Word& word)
-{
-    std::vector<query::BlockId> blocks;
-    blocks.reserve(word.size());
-    for (Symbol symbol : word)
-        blocks.push_back(static_cast<query::BlockId>(symbol) + 1);
-    return query::makeObserveAllQuery(blocks);
-}
-
-} // namespace
-
 OracleTeacher::OracleTeacher(query::QueryOracle& oracle,
                              const query::BatchOptions& batch)
     : oracle_(oracle), batch_(batch)
@@ -43,35 +27,51 @@ OracleTeacher::describe() const
 std::vector<TeacherAnswer>
 OracleTeacher::answer(const std::vector<Word>& words)
 {
-    std::vector<query::CompiledQuery> queries;
-    queries.reserve(words.size());
-    for (const Word& word : words) {
-        require(!word.empty(), "OracleTeacher: empty word");
-        queries.push_back(wordQuery(word));
+    // Symbol s is block s + 1, the words laid end to end. A batch can
+    // hold millions of symbols, so the blocks go before the answers
+    // are built.
+    std::vector<uint32_t> ends;
+    std::vector<query::PositionOutcome> outcomes;
+    {
+        std::size_t symbols = 0;
+        for (const Word& word : words) {
+            require(!word.empty(), "OracleTeacher: empty word");
+            symbols += word.size();
+        }
+        ensure(symbols < UINT32_MAX,
+               "OracleTeacher: batch of 2^32 - 1 symbols or more");
+        std::vector<query::BlockId> blocks;
+        blocks.reserve(symbols);
+        ends.reserve(words.size());
+        for (const Word& word : words) {
+            for (const Symbol symbol : word)
+                blocks.push_back(static_cast<query::BlockId>(symbol) + 1);
+            ends.push_back(static_cast<uint32_t>(blocks.size()));
+        }
+
+        const uint64_t expBefore = oracle_.experimentsRun();
+        const uint64_t accBefore = oracle_.accessesIssued();
+        outcomes = oracle_.observeWords(blocks, ends, batch_, &stats_);
+        experiments_ += oracle_.experimentsRun() - expBefore;
+        accesses_ += oracle_.accessesIssued() - accBefore;
+        wordsAsked_ += words.size();
+        ensure(outcomes.size() == blocks.size(),
+               "OracleTeacher: outcome count mismatch");
     }
 
-    const uint64_t expBefore = oracle_.experimentsRun();
-    const uint64_t accBefore = oracle_.accessesIssued();
-    const auto verdicts =
-        oracle_.evaluateBatch(queries, batch_, &stats_);
-    experiments_ += oracle_.experimentsRun() - expBefore;
-    accesses_ += oracle_.accessesIssued() - accBefore;
-    wordsAsked_ += words.size();
-
     std::vector<TeacherAnswer> answers(words.size());
+    std::size_t begin = 0;
     for (std::size_t i = 0; i < words.size(); ++i) {
-        const query::QueryVerdict& verdict = verdicts[i];
-        ensure(verdict.probes.size() == words[i].size(),
-               "OracleTeacher: probe count mismatch");
         TeacherAnswer& answer = answers[i];
-        answer.outputs.reserve(words[i].size());
-        for (const query::ProbeOutcome& probe : verdict.probes) {
-            answer.outputs.push_back(probe.hit);
-            answer.determined =
-                answer.determined && probe.determined;
+        answer.outputs.reserve(ends[i] - begin);
+        for (std::size_t p = begin; p < ends[i]; ++p) {
+            const query::PositionOutcome& outcome = outcomes[p];
+            answer.outputs.push_back(outcome.hit);
+            answer.determined = answer.determined && outcome.determined;
             answer.confidence =
-                std::min(answer.confidence, probe.confidence);
+                std::min(answer.confidence, outcome.confidence);
         }
+        begin = ends[i];
     }
     return answers;
 }

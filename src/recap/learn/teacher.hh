@@ -5,15 +5,14 @@
  * flush and report every hit/miss") and keeps cost counters.
  *
  * OracleTeacher adapts any query::QueryOracle — the replay-exact
- * PolicyOracle or the measuring MachineOracle — by compiling each
- * word into an observe-all membership query and answering whole
- * batches through evaluateBatch(), so observation-table rows ride
- * the prefix-sharing evaluator (rows extend each other by
- * construction, which is where the learner's measurement savings
- * come from) and machine-side answers inherit the robust voting /
- * abstention semantics of PR 3: an answer whose probes did not all
- * reach a quorum is flagged !determined, and the learner abstains
- * instead of learning from noise.
+ * PolicyOracle or the measuring MachineOracle — by laying each batch
+ * of words end to end and answering it through observeWords(), so
+ * observation-table rows ride the prefix-sharing evaluator (rows
+ * extend each other by construction, which is where the learner's
+ * measurement savings come from) and machine-side answers inherit
+ * the robust voting / abstention semantics: an answer whose
+ * positions did not all reach a quorum is flagged !determined, and
+ * the learner abstains instead of learning from noise.
  *
  * PrefixStore is the learner's observation tree and its
  * teacher-consistency ledger: every answered word contributes the

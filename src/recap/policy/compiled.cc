@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <tuple>
 #include <utility>
 
 #include "recap/common/error.hh"
@@ -91,7 +90,8 @@ compilePolicy(const ReplacementPolicy& proto,
         table->keys_.push_back(states.load(id).stateKey());
         keyBytes += table->keys_.back().size();
     }
-    if (tableBytes(n, keyBytes) > budget.maxTableBytes)
+    table->budgetBytes_ = tableBytes(n, keyBytes);
+    if (table->budgetBytes_ > budget.maxTableBytes)
         return nullptr;
 
     // Narrow mirrors for the batch kernels (see CompiledTable::narrow).
@@ -153,29 +153,55 @@ compiledTableFor(const std::string& spec, unsigned ways,
 {
     // Negative results are cached too: an over-budget enumeration is
     // the expensive case, and sweeps ask for the same (spec, ways)
-    // once per grid cell.
-    using Key = std::tuple<std::string, unsigned, uint64_t, uint64_t>;
+    // once per grid cell. A table is the same whatever budget
+    // admitted it, so one serves them all.
+    struct Entry
+    {
+        CompiledTablePtr table;
+        std::vector<CompileBudget> refusedUnder;
+    };
     static std::mutex mutex;
-    static std::map<Key, CompiledTablePtr> cache;
+    static std::map<std::pair<std::string, unsigned>, Entry> cache;
 
-    Key key{spec, ways, budget.maxStates, budget.maxTableBytes};
+    const auto fits = [&](const CompiledTable& table) {
+        return table.numStates() <= budget.maxStates &&
+               table.budgetBytes() <= budget.maxTableBytes;
+    };
+    const auto within = [&](const CompileBudget& refused) {
+        return budget.maxStates <= refused.maxStates &&
+               budget.maxTableBytes <= refused.maxTableBytes;
+    };
+    std::pair<std::string, unsigned> key{spec, ways};
     {
         std::lock_guard<std::mutex> lock(mutex);
         const auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
+        if (it != cache.end()) {
+            const Entry& entry = it->second;
+            if (entry.table)
+                return fits(*entry.table) ? entry.table : nullptr;
+            if (std::any_of(entry.refusedUnder.begin(),
+                            entry.refusedUnder.end(), within))
+                return nullptr;
+        }
     }
 
     // Compile outside the lock (enumerations can take a while and
     // must not serialize unrelated lookups). A racing duplicate
-    // compilation is harmless: both produce identical tables and one
-    // wins the cache slot.
+    // compilation is harmless: both produce identical tables and the
+    // first one stored is kept.
     CompiledTablePtr table;
     if (isKnownPolicySpec(spec) && specSupportsWays(spec, ways))
         table = compilePolicy(*makePolicy(spec, ways), budget);
 
     std::lock_guard<std::mutex> lock(mutex);
-    return cache.emplace(std::move(key), std::move(table)).first->second;
+    Entry& entry = cache[std::move(key)];
+    if (!table) {
+        entry.refusedUnder.push_back(budget);
+        return nullptr;
+    }
+    if (!entry.table)
+        entry.table = std::move(table);
+    return entry.table;
 }
 
 CompiledPolicy::CompiledPolicy(CompiledTablePtr table)
