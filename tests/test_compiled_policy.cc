@@ -225,6 +225,41 @@ TEST(CompiledFallback, TableIsMemoized)
     EXPECT_EQ(a->numStates(), 128u); // 2^(8-1) PLRU tree states
 }
 
+/**
+ * One memo entry per (spec, ways) answers every budget as
+ * compilePolicy() would: a stored table serves the budgets it fits,
+ * and a refusal under a narrow budget does not hide the table a wider
+ * one admits. The spec is used by no other test, so the narrow budget
+ * is asked first.
+ */
+TEST(CompiledFallback, MemoAnswersEveryBudgetAsCompilePolicy)
+{
+    const std::string spec = "qlru:H0,M2,R1,U1";
+    const CompiledTablePtr reference = compilePolicy(*makePolicy(spec, 4));
+    ASSERT_NE(reference, nullptr);
+    const uint32_t n = reference->numStates();
+    const uint64_t bytes = reference->budgetBytes();
+    CompileBudget below;
+    below.maxStates = n - 1;
+    CompileBudget exact;
+    exact.maxStates = n;
+    exact.maxTableBytes = bytes;
+    CompileBudget tight = exact;
+    tight.maxTableBytes = bytes - 1;
+
+    EXPECT_EQ(compiledTableFor(spec, 4, below), nullptr);
+    const CompiledTablePtr table = compiledTableFor(spec, 4, exact);
+    ASSERT_NE(table, nullptr);
+    EXPECT_EQ(table->numStates(), n);
+    EXPECT_EQ(table->budgetBytes(), bytes);
+    EXPECT_EQ(compiledTableFor(spec, 4, {}).get(), table.get());
+    for (const CompileBudget& budget : {below, exact, tight, CompileBudget{}})
+        EXPECT_EQ(compiledTableFor(spec, 4, budget) != nullptr,
+                  compilePolicy(*makePolicy(spec, 4), budget) != nullptr)
+            << budget.maxStates << " states, " << budget.maxTableBytes
+            << " bytes";
+}
+
 /** Unknown specs and unsupported associativities never compile. */
 TEST(CompiledFallback, RejectsInvalidSpecs)
 {
