@@ -75,8 +75,7 @@ printFigure3()
             batchSpecs.push_back(spec);
 
     // One simulatePoliciesBatch call per workload
-    // (eval/multi_kernel.hh): the policies fan out over the pool and
-    // specs sharing a compiled table are simulated once.
+    // (eval/multi_kernel.hh): the policies fan out over the pool.
     std::vector<std::vector<double>> ratioOfSpec(batchSpecs.size());
     for (const auto& w : suite) {
         const auto stats =

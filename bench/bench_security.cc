@@ -6,7 +6,7 @@
  * RELOAD+REFRESH-style probe synthesis, and attacker observability —
  * over every compilable catalog policy at 2 and 4 ways, ranks the
  * catalog by leakage score, and replays the attacker/victim
- * interleaved workloads through the simulation kernel for miss-ratio
+ * interleaved workloads through a cache::Cache for miss-ratio
  * context. Every search either completes or reports an explicit
  * abstention; nothing is silently truncated.
  *
@@ -28,7 +28,7 @@
 
 #include "bench_json.hh"
 #include "recap/common/table.hh"
-#include "recap/eval/kernel.hh"
+#include "recap/eval/simulate.hh"
 #include "recap/policy/factory.hh"
 #include "recap/sec/profile.hh"
 #include "recap/trace/generators.hh"
@@ -212,8 +212,8 @@ runSecuritySweep()
                   << (p.partial() ? " *" : "") << "\n";
     }
 
-    // Workload context: attacker/victim interleavings through the
-    // simulation kernel at the 4-way reference geometry.
+    // Workload context: attacker/victim interleavings simulated at
+    // the 4-way reference geometry.
     const cache::Geometry geom{64, 64, 4};
     const auto suite = trace::attackerVictimSuite(geom);
     TextTable wtable({"policy", "workload", "miss ratio"});
@@ -221,8 +221,7 @@ runSecuritySweep()
         if (!policy::specSupportsWays(spec, geom.ways))
             continue;
         for (const auto& w : suite) {
-            const auto stats =
-                eval::simulateTraceKernel(geom, spec, w.trace, {});
+            const auto stats = eval::simulateTrace(geom, spec, w.trace);
             const double ratio =
                 static_cast<double>(stats.misses) /
                 static_cast<double>(w.trace.size());

@@ -25,8 +25,9 @@ struct Level
 /**
  * Cross-level content discipline of a hierarchy.
  *
- * The exact semantics each mode implements (the reference the
- * compiled hier:: subsystem is pinned bit-identical against):
+ * The exact semantics each mode implements (tests/test_hierarchy.cc
+ * checks each mode, and tests/test_hierarchy_eval.cc pins the
+ * counters of one catalog machine in every mode):
  *
  *  - kNonInclusive ("mostly inclusive", the modelled Intel parts'
  *    behaviour and the historical default): an access walks the

@@ -143,8 +143,8 @@ unsigned resolveThreads(unsigned numThreads);
 
 /**
  * The process-wide hardware-width pool reused by every
- * `numThreads == 0` parallelFor batch (sweeps, the simulation
- * kernel, batch query evaluation). Lazily constructed, joined at
+ * `numThreads == 0` parallelFor batch (sweeps, multi-policy
+ * simulation, batch query evaluation). Lazily constructed, joined at
  * process exit. Concurrent batches from different external threads
  * share it safely (results are slot-indexed), but a batch's wait
  * also waits out the other batch's tasks — callers needing isolation

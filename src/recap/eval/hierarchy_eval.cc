@@ -1,8 +1,6 @@
 #include "recap/eval/hierarchy_eval.hh"
 
 #include "recap/common/error.hh"
-#include "recap/hier/hierarchy.hh"
-#include "recap/hier/simulate.hh"
 
 namespace recap::eval
 {
@@ -35,24 +33,28 @@ buildHierarchy(const hw::MachineSpec& spec, uint64_t seed,
 namespace
 {
 
-template <typename TraceT>
+/**
+ * Runs @p count accesses through @p hierarchy; @p accessOne
+ * performs access i and returns the level that served it.
+ */
+template <typename AccessFn>
 HierarchyResult
-runCompiled(const hw::MachineSpec& spec, const TraceT& t,
-            const HierarchyOptions& opts)
+run(cache::Hierarchy& hierarchy, std::size_t count,
+    AccessFn&& accessOne)
 {
-    hier::Options hopts;
-    hopts.mode = opts.inclusion;
-    hopts.budget = opts.budget;
-    hier::Hierarchy hierarchy(spec, opts.seed, hopts);
-    const hier::RunResult run = hier::runTrace(hierarchy, t);
-
     HierarchyResult result;
-    result.servedBy = run.servedBy;
-    result.accesses = run.accesses;
-    result.totalCycles = run.totalCycles;
+    result.servedBy.assign(hierarchy.depth() + 1, 0);
+    for (std::size_t i = 0; i < count; ++i)
+        ++result.servedBy[accessOne(i)];
+    // The cycle total follows from the served-level histogram.
+    for (unsigned l = 0; l <= hierarchy.depth(); ++l)
+        result.totalCycles +=
+            result.servedBy[l] * uint64_t{hierarchy.latencyOf(l)};
+    result.accesses = count;
     for (unsigned i = 0; i < hierarchy.depth(); ++i) {
-        result.levelNames.push_back(hierarchy.name(i));
-        result.levels.push_back(hierarchy.stats(i));
+        const cache::Cache& c = hierarchy.level(i).cache;
+        result.levelNames.push_back(c.name());
+        result.levels.push_back(c.stats());
     }
     return result;
 }
@@ -81,7 +83,8 @@ HierarchyResult
 evaluateHierarchy(const hw::MachineSpec& spec, const trace::Trace& t,
                   const HierarchyOptions& opts)
 {
-    return runCompiled(spec, t, opts);
+    cache::Hierarchy h = buildHierarchy(spec, opts.seed, opts.inclusion);
+    return run(h, t.size(), [&](std::size_t i) { return h.access(t[i]); });
 }
 
 HierarchyResult
@@ -89,7 +92,10 @@ evaluateHierarchy(const hw::MachineSpec& spec,
                   const trace::RefTrace& refs,
                   const HierarchyOptions& opts)
 {
-    return runCompiled(spec, refs, opts);
+    cache::Hierarchy h = buildHierarchy(spec, opts.seed, opts.inclusion);
+    return run(h, refs.size(), [&](std::size_t i) {
+        return h.access(refs[i].addr, refs[i].write);
+    });
 }
 
 hw::MachineSpec

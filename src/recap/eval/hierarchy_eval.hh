@@ -5,11 +5,8 @@
  * average memory access time (AMAT) — the end-to-end performance
  * lens on the reverse-engineered policies.
  *
- * evaluateHierarchy() runs the hier:: subsystem, which walks a
- * compiled table for every level policy that fits the compile budget
- * and an interpreted per-set automaton for the rest. Its results are
- * bit-identical to the interpreted cache::Hierarchy that
- * buildHierarchy() wires up, the reference it is pinned against.
+ * evaluateHierarchy() drives the interpreted cache::Hierarchy that
+ * buildHierarchy() wires up, the same wiring hw::Machine uses.
  */
 
 #ifndef RECAP_EVAL_HIERARCHY_EVAL_HH_
@@ -20,7 +17,6 @@
 
 #include "recap/cache/hierarchy.hh"
 #include "recap/hw/spec.hh"
-#include "recap/policy/compiled.hh"
 #include "recap/trace/trace.hh"
 
 namespace recap::eval
@@ -52,14 +48,12 @@ struct HierarchyOptions
     /** Cross-level content discipline. */
     cache::InclusionMode inclusion =
         cache::InclusionMode::kNonInclusive;
-
-    /** Compile budget for the fast path's policy tables. */
-    policy::CompileBudget budget;
 };
 
 /**
- * Builds an interpreted Hierarchy from a machine spec (same wiring
- * Machine uses; the reference the compiled path is pinned against).
+ * Builds a Hierarchy from a machine spec: level i is seeded
+ * seed + i * 0x10001. hw::Machine and evaluateHierarchy() both wire
+ * their hierarchies here.
  */
 cache::Hierarchy buildHierarchy(
     const hw::MachineSpec& spec, uint64_t seed = 1,

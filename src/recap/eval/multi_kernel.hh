@@ -3,13 +3,9 @@
  * Many policies over one trace: the batch entry point of the
  * miss-ratio sweeps (Fig. 3/4).
  *
- * simulatePoliciesBatch() runs the single-policy compiled kernel
- * (eval/kernel.hh, simulateCompiled) once per distinct compiled
- * table — compiled simulation is deterministic in (table, trace), so
- * specs that share a table share one run — and the interpreted
- * cache::Cache once per spec beyond the compile budget, each on its
- * own seed. The runs fan out over the shared TaskPool; results are
- * positional and identical for every thread count.
+ * simulatePoliciesBatch() runs one interpreted cache::Cache per spec,
+ * each on its own seed. The runs fan out over the shared TaskPool;
+ * results are positional and identical for every thread count.
  */
 
 #ifndef RECAP_EVAL_MULTI_KERNEL_HH_
@@ -20,8 +16,6 @@
 #include <vector>
 
 #include "recap/cache/cache.hh"
-#include "recap/eval/kernel.hh"
-#include "recap/policy/compiled.hh"
 #include "recap/trace/trace.hh"
 
 namespace recap::eval
@@ -30,13 +24,12 @@ namespace recap::eval
 /** Execution knobs of simulatePoliciesBatch. */
 struct MultiPolicyOptions
 {
-    /** Fallback seed when laneSeeds is empty. */
+    /** Seed of every spec when laneSeeds is empty. */
     uint64_t seed = 1;
 
     /**
-     * Per-spec seeds for interpreted fallback specs (stochastic
-     * policies); empty = every spec uses @p seed. Compiled specs are
-     * deterministic and ignore seeds. Must be empty or match the
+     * Per-spec seeds (they matter to stochastic policies only);
+     * empty = every spec uses @p seed. Must be empty or match the
      * spec count.
      */
     std::vector<uint64_t> laneSeeds;
@@ -47,9 +40,6 @@ struct MultiPolicyOptions
      * value.
      */
     unsigned numThreads = 0;
-
-    /** State budget for policy compilation. */
-    policy::CompileBudget budget;
 };
 
 /**

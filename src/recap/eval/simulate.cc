@@ -1,7 +1,6 @@
 #include "recap/eval/simulate.hh"
 
 #include "recap/common/error.hh"
-#include "recap/eval/kernel.hh"
 
 namespace recap::eval
 {
@@ -11,12 +10,9 @@ simulateTrace(const cache::Geometry& geom,
               const std::string& policySpec, const trace::Trace& t,
               uint64_t seed)
 {
-    // Compiled-table kernel when the policy fits the compile budget,
-    // interpreted cache::Cache otherwise; bit-identical results
-    // either way (tests/test_kernel.cc pins the equivalence).
-    KernelOptions opts;
-    opts.seed = seed;
-    return simulateTraceKernel(geom, policySpec, t, opts);
+    cache::Cache c(geom, policySpec, "eval", seed);
+    simulateOn(c, t);
+    return c.stats();
 }
 
 cache::LevelStats

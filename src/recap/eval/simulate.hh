@@ -16,12 +16,8 @@ namespace recap::eval
 {
 
 /**
- * Simulates @p t against a single-level cache.
- *
- * Runs on the compiled-automaton batch kernel (eval/kernel.hh)
- * whenever the policy compiles within the default budget, and on the
- * interpreted cache::Cache otherwise; both paths produce identical
- * statistics.
+ * Simulates @p t against a single-level cache (a cache::Cache built
+ * from @p policySpec).
  *
  * @param geom       Cache geometry.
  * @param policySpec Replacement policy spec (policy::makePolicy).
@@ -45,10 +41,8 @@ simulateTraceAdaptive(const cache::Geometry& geom,
 /**
  * Simulates a PC-annotated trace against a single-level cache,
  * feeding each access's program counter to the replacement policy
- * via the AccessMeta side channel. Always runs the interpreted
- * cache::Cache: meta-consuming policies never table-compile, and for
- * meta-ignoring policies the result is identical to simulateTrace()
- * on the address projection.
+ * via the AccessMeta side channel. For meta-ignoring policies the
+ * result is identical to simulateTrace() on the address projection.
  */
 cache::LevelStats
 simulatePcTrace(const cache::Geometry& geom,

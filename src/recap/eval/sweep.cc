@@ -2,7 +2,6 @@
 
 #include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
-#include "recap/eval/multi_kernel.hh"
 #include "recap/eval/opt.hh"
 #include "recap/eval/simulate.hh"
 #include "recap/policy/factory.hh"
@@ -36,68 +35,21 @@ makeCell(const CellJob& job, const cache::LevelStats& stats)
 }
 
 /**
- * Measures every job into its own cell slot. Policy cells sharing a
- * (geometry, trace) pair — every row of one sweep column — run as one
- * simulatePoliciesBatch call (eval/multi_kernel.hh), which simulates
- * each distinct compiled table once. Cell i keeps the stream
- * deriveTaskSeed(opts.seed, i) as its lane seed, so the grid stays
- * the same pure function of (jobs, opts.seed) as the per-cell path,
- * regardless of opts.numThreads. OPT cells are not policy automata
- * and keep the per-cell path.
+ * Measures every job into its own cell slot. Cell i simulates with
+ * the stream deriveTaskSeed(opts.seed, i), so the grid is a pure
+ * function of (jobs, opts.seed), regardless of opts.numThreads.
  */
 std::vector<SweepCell>
 measureAll(const std::vector<CellJob>& jobs, const SweepOptions& opts)
 {
     std::vector<SweepCell> cells(jobs.size());
-
-    struct Batch
-    {
-        std::vector<std::size_t> jobIdx;
-    };
-    std::vector<Batch> batches;
-    std::vector<std::size_t> optIdx;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (jobs[i].spec == "OPT") {
-            optIdx.push_back(i);
-            continue;
-        }
-        bool placed = false;
-        for (auto& batch : batches) {
-            const CellJob& head = jobs[batch.jobIdx.front()];
-            if (head.geom == jobs[i].geom &&
-                head.trace == jobs[i].trace) {
-                batch.jobIdx.push_back(i);
-                placed = true;
-                break;
-            }
-        }
-        if (!placed)
-            batches.push_back({{i}});
-    }
-
-    for (const auto& batch : batches) {
-        const CellJob& head = jobs[batch.jobIdx.front()];
-        MultiPolicyOptions mopts;
-        mopts.numThreads = opts.numThreads;
-        std::vector<std::string> specs;
-        specs.reserve(batch.jobIdx.size());
-        for (const std::size_t i : batch.jobIdx) {
-            specs.push_back(jobs[i].spec);
-            mopts.laneSeeds.push_back(deriveTaskSeed(opts.seed, i));
-        }
-        const std::vector<cache::LevelStats> stats =
-            simulatePoliciesBatch(head.geom, specs, *head.trace,
-                                  mopts);
-        for (std::size_t n = 0; n < batch.jobIdx.size(); ++n) {
-            const std::size_t i = batch.jobIdx[n];
-            cells[i] = makeCell(jobs[i], stats[n]);
-        }
-    }
-
-    parallelFor(optIdx.size(), opts.numThreads, [&](std::size_t n) {
-        const std::size_t i = optIdx[n];
-        cells[i] = makeCell(jobs[i], simulateOpt(jobs[i].geom,
-                                                 *jobs[i].trace));
+    parallelFor(jobs.size(), opts.numThreads, [&](std::size_t i) {
+        const CellJob& job = jobs[i];
+        cells[i] = makeCell(
+            job, job.spec == "OPT"
+                     ? simulateOpt(job.geom, *job.trace)
+                     : simulateTrace(job.geom, job.spec, *job.trace,
+                                     deriveTaskSeed(opts.seed, i)));
     });
     return cells;
 }

@@ -1,6 +1,7 @@
 #include "recap/hw/machine.hh"
 
 #include "recap/common/error.hh"
+#include "recap/eval/hierarchy_eval.hh"
 #include "recap/policy/factory.hh"
 
 namespace recap::hw
@@ -8,14 +9,6 @@ namespace recap::hw
 
 namespace
 {
-
-/** Validates @p spec before the member initializers consume it. */
-const MachineSpec&
-validated(const MachineSpec& spec)
-{
-    spec.validate();
-    return spec;
-}
 
 /** Flattens per-level stats into a fault-injectable word vector. */
 CounterSnapshot
@@ -53,7 +46,7 @@ Machine::Machine(const MachineSpec& spec, uint64_t seed,
 
 Machine::Machine(const MachineSpec& spec, uint64_t seed,
                  const FaultConfig& faults)
-    : spec_(validated(spec)), hierarchy_(spec_, seed),
+    : spec_(spec), hierarchy_(eval::buildHierarchy(spec_, seed)),
       faults_(faults, seed, spec.levels.front().geometry())
 {}
 
@@ -91,7 +84,7 @@ Machine::counters() const
     PerfCounts counts;
     counts.levels.reserve(depth());
     for (unsigned i = 0; i < depth(); ++i)
-        counts.levels.push_back(hierarchy_.stats(i));
+        counts.levels.push_back(hierarchy_.level(i).cache.stats());
     counts.memoryAccesses = memoryAccesses_;
 
     if (!faults_.config().anyCounterFaults())
@@ -136,28 +129,28 @@ const cache::Geometry&
 Machine::levelGeometry(unsigned level) const
 {
     require(level < depth(), "Machine::levelGeometry: level range");
-    return hierarchy_.geometry(level);
+    return hierarchy_.level(level).cache.geometry();
 }
 
 bool
 Machine::levelAdaptive(unsigned level) const
 {
     require(level < depth(), "Machine::levelAdaptive: level range");
-    return hierarchy_.isAdaptive(level);
+    return hierarchy_.level(level).cache.isAdaptive();
 }
 
 cache::Cache::SetRole
 Machine::levelSetRole(unsigned level, unsigned set) const
 {
     require(level < depth(), "Machine::levelSetRole: level range");
-    return hierarchy_.setRole(level, set);
+    return hierarchy_.level(level).cache.setRole(set);
 }
 
 unsigned
 Machine::levelPsel(unsigned level) const
 {
     require(level < depth(), "Machine::levelPsel: level range");
-    return hierarchy_.psel(level);
+    return hierarchy_.level(level).cache.psel();
 }
 
 void

@@ -22,8 +22,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "recap/cache/hierarchy.hh"
 #include "recap/common/rng.hh"
-#include "recap/hier/hierarchy.hh"
 #include "recap/hw/faults.hh"
 #include "recap/hw/spec.hh"
 
@@ -136,7 +136,7 @@ class Machine
     /**
      * White-box inspection for tests and experiment reporting ONLY —
      * inference code must not use these. Thin passthroughs to the
-     * underlying hier::Hierarchy.
+     * caches of the underlying cache::Hierarchy.
      */
     const cache::Geometry& levelGeometry(unsigned level) const;
     bool levelAdaptive(unsigned level) const;
@@ -155,10 +155,8 @@ class Machine
     void injectAccess(cache::Addr addr);
 
     MachineSpec spec_;
-    // The compiled hier:: walk; levels whose policies exceed the
-    // compile budget transparently run their interpreted automatons
-    // inside it, so behaviour is identical for every spec.
-    hier::Hierarchy hierarchy_;
+    // Wired by eval::buildHierarchy, like evaluateHierarchy's.
+    cache::Hierarchy hierarchy_;
     // Mutable: counter-read faults (garble/drop) consume RNG state
     // even though counters() is logically const for the experimenter.
     mutable FaultModel faults_;

@@ -93,14 +93,6 @@ compilePolicy(const ReplacementPolicy& proto,
     table->budgetBytes_ = tableBytes(n, keyBytes);
     if (table->budgetBytes_ > budget.maxTableBytes)
         return nullptr;
-
-    // Narrow mirrors for the batch kernels (see CompiledTable::narrow).
-    if (n <= (uint64_t{1} << 16)) {
-        table->touchNext16_.assign(table->touchNext_.begin(),
-                                   table->touchNext_.end());
-        table->fillNext16_.assign(table->fillNext_.begin(),
-                                  table->fillNext_.end());
-    }
     return table;
 }
 

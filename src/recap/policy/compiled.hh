@@ -17,8 +17,8 @@
  *     victim   [state]             way the next miss would evict
  *
  * so the hot loop becomes three array lookups, state forking becomes
- * an integer copy, and the batch kernels in eval/ and query/ can keep
- * per-set state in structure-of-arrays form.
+ * an integer copy, and the query/ batch evaluator can keep per-set
+ * state in structure-of-arrays form.
  *
  * The states are numbered by policy::PolicyStates (one scratch
  * policy, no per-edge clone or string); the stateKey() strings are
@@ -105,21 +105,10 @@ class CompiledTable
         return keys_[state];
     }
 
-    /** Raw table base pointers for the batch kernels' inner loops. */
+    /** Raw table base pointers for the batch evaluator's inner loop. */
     const uint32_t* touchData() const { return touchNext_.data(); }
     const uint32_t* fillData() const { return fillNext_.data(); }
     const uint16_t* victimData() const { return victim_.data(); }
-
-    /**
-     * True when the automaton has at most 2^16 states; the narrow
-     * uint16 mirrors below are then populated. Halving the table
-     * footprint matters: at 64k states the uint32 tables are 2 MiB
-     * each and state-indexed lookups thrash L2, while the narrow
-     * mirrors keep both tables resident.
-     */
-    bool narrow() const { return !touchNext16_.empty(); }
-    const uint16_t* touchData16() const { return touchNext16_.data(); }
-    const uint16_t* fillData16() const { return fillNext16_.data(); }
 
     /**
      * Bytes CompileBudget::maxTableBytes counts for this table: the
@@ -140,8 +129,6 @@ class CompiledTable
     std::vector<uint32_t> fillNext_;
     std::vector<uint16_t> victim_;
     std::vector<std::string> keys_;
-    std::vector<uint16_t> touchNext16_;
-    std::vector<uint16_t> fillNext16_;
 };
 
 /** Shared, immutable handle: one table serves any number of sets. */

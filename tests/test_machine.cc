@@ -175,4 +175,33 @@ TEST(Machine, LevelCacheInspection)
     EXPECT_THROW(m.levelGeometry(3), UsageError);
 }
 
+TEST(Machine, WideLevelsAreAccepted)
+{
+    // A 48-way LRU level: the machine has no way limit of its own.
+    // A conflict set of exactly 48 lines stays resident; one more
+    // line evicts the least recently used of them.
+    MachineSpec spec;
+    spec.name = "wide";
+    spec.description = "one 48-way level";
+    CacheLevelSpec l1;
+    l1.name = "L1";
+    l1.ways = 48;
+    l1.capacityBytes = 16 * 64 * 48; // 16 sets
+    l1.hitLatency = 4;
+    l1.policySpec = "lru";
+    spec.levels = {l1};
+    spec.memoryLatency = 100;
+
+    Machine m(spec);
+    EXPECT_EQ(m.levelGeometry(0).ways, 48u);
+    const cache::Addr stride = 16 * 64;
+    for (unsigned i = 0; i < 48; ++i)
+        m.access(i * stride);
+    for (unsigned i = 0; i < 48; ++i)
+        EXPECT_EQ(m.classifyLatency(m.timedAccess(i * stride)), 0u)
+            << "line " << i;
+    m.access(48 * stride);
+    EXPECT_EQ(m.classifyLatency(m.timedAccess(0)), 1u);
+}
+
 } // namespace
