@@ -13,17 +13,10 @@ Cache::Cache(const Geometry& geom, const std::string& policySpec,
              std::string name, uint64_t seed)
     : geom_(geom), name_(std::move(name)), specA_(policySpec)
 {
-    geom_.validate();
-    sets_.reserve(geom_.numSets);
-    for (unsigned s = 0; s < geom_.numSets; ++s) {
-        Set set;
-        set.tags.assign(geom_.ways, 0);
-        set.valid.assign(geom_.ways, false);
-        set.dirty.assign(geom_.ways, false);
-        set.policyA = policy::makePolicy(policySpec, geom_.ways,
-                                         seed + s);
-        sets_.push_back(std::move(set));
-    }
+    initLines();
+    for (unsigned s = 0; s < geom_.numSets; ++s)
+        sets_[s].policyA =
+            policy::makePolicy(policySpec, geom_.ways, seed + s);
     metaA_ = sets_[0].policyA->usesMeta();
 }
 
@@ -42,19 +35,49 @@ Cache::Cache(const Geometry& geom, const std::string& specA,
             "Cache: too few sets for the requested leader count");
     pselMax_ = (1u << duel_.pselBits) - 1;
     psel_ = pselMidpoint();
-    sets_.reserve(geom_.numSets);
+    initLines();
     for (unsigned s = 0; s < geom_.numSets; ++s) {
-        Set set;
-        set.tags.assign(geom_.ways, 0);
-        set.valid.assign(geom_.ways, false);
-        set.dirty.assign(geom_.ways, false);
-        set.policyA = policy::makePolicy(specA, geom_.ways, seed + s);
-        set.policyB = policy::makePolicy(specB, geom_.ways,
-                                         seed + geom_.numSets + s);
-        sets_.push_back(std::move(set));
+        sets_[s].policyA = policy::makePolicy(specA, geom_.ways, seed + s);
+        sets_[s].policyB = policy::makePolicy(specB, geom_.ways,
+                                              seed + geom_.numSets + s);
     }
     metaA_ = sets_[0].policyA->usesMeta();
     metaB_ = sets_[0].policyB->usesMeta();
+}
+
+void
+Cache::initLines()
+{
+    geom_.validate();
+    offsetBits_ = log2Floor(geom_.lineSize);
+    setBits_ = log2Floor(geom_.numSets);
+    const std::size_t lines = std::size_t{geom_.numSets} * geom_.ways;
+    tags_.assign(lines, 0);
+    lines_.assign(lines, 0);
+    sets_.resize(geom_.numSets);
+    touched_.resize(geom_.numSets);
+    for (unsigned s = 0; s < geom_.numSets; ++s)
+        touched_[s] = s;
+}
+
+unsigned
+Cache::findWay(unsigned set, uint64_t tag) const
+{
+    const std::size_t row = std::size_t{set} * geom_.ways;
+    for (unsigned w = 0; w < geom_.ways; ++w)
+        if ((lines_[row + w] & kValid) && tags_[row + w] == tag)
+            return w;
+    return geom_.ways;
+}
+
+unsigned
+Cache::freeWay(unsigned set) const
+{
+    const std::size_t row = std::size_t{set} * geom_.ways;
+    for (unsigned w = 0; w < geom_.ways; ++w)
+        if (!(lines_[row + w] & kValid))
+            return w;
+    return geom_.ways;
 }
 
 bool
@@ -67,10 +90,9 @@ AccessResult
 Cache::accessDetailed(Addr addr, bool write)
 {
     policy::AccessMeta meta;
-    meta.block = addr / geom_.lineSize;
+    meta.block = addr >> offsetBits_;
     meta.hasBlock = true;
-    return accessSet(geom_.setIndex(addr), geom_.tag(addr), write,
-                     meta);
+    return accessSet(setOf(addr), tagOf(addr), write, meta);
 }
 
 bool
@@ -83,44 +105,42 @@ AccessResult
 Cache::accessDetailedWithPc(Addr addr, uint64_t pc, bool write)
 {
     policy::AccessMeta meta;
-    meta.block = addr / geom_.lineSize;
+    meta.block = addr >> offsetBits_;
     meta.hasBlock = true;
     meta.pc = pc;
     meta.hasPc = true;
-    return accessSet(geom_.setIndex(addr), geom_.tag(addr), write,
-                     meta);
+    return accessSet(setOf(addr), tagOf(addr), write, meta);
 }
 
 bool
 Cache::probeAccess(Addr addr, bool write, bool touchOnHit)
 {
-    const unsigned set = geom_.setIndex(addr);
-    const uint64_t tag = geom_.tag(addr);
+    const unsigned set = setOf(addr);
     Set& s = sets_[set];
+    markTouched(set);
     ++stats_.accesses;
     if (write)
         ++stats_.writes;
 
     policy::AccessMeta meta;
-    meta.block = addr / geom_.lineSize;
+    meta.block = addr >> offsetBits_;
     meta.hasBlock = true;
     if (metaA_)
         s.policyA->beginAccess(meta);
     if (metaB_ && s.policyB)
         s.policyB->beginAccess(meta);
 
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (s.valid[w] && s.tags[w] == tag) {
-            ++stats_.hits;
-            if (touchOnHit) {
-                s.policyA->touch(w);
-                if (s.policyB)
-                    s.policyB->touch(w);
-                if (write)
-                    s.dirty[w] = true;
-            }
-            return true;
+    const unsigned w = findWay(set, tagOf(addr));
+    if (w < geom_.ways) {
+        ++stats_.hits;
+        if (touchOnHit) {
+            s.policyA->touch(w);
+            if (s.policyB)
+                s.policyB->touch(w);
+            if (write)
+                lines_[std::size_t{set} * geom_.ways + w] |= kDirty;
         }
+        return true;
     }
     ++stats_.misses;
     if (adaptive_)
@@ -131,29 +151,25 @@ Cache::probeAccess(Addr addr, bool write, bool touchOnHit)
 Cache::Extracted
 Cache::extract(Addr addr)
 {
-    const unsigned set = geom_.setIndex(addr);
-    const uint64_t tag = geom_.tag(addr);
-    Set& s = sets_[set];
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (s.valid[w] && s.tags[w] == tag) {
-            Extracted out{true, static_cast<bool>(s.dirty[w])};
-            s.valid[w] = false;
-            s.dirty[w] = false;
-            return out;
-        }
-    }
-    return {};
+    const unsigned set = setOf(addr);
+    const unsigned w = findWay(set, tagOf(addr));
+    if (w == geom_.ways)
+        return {};
+    uint8_t& line = lines_[std::size_t{set} * geom_.ways + w];
+    Extracted out{true, (line & kDirty) != 0};
+    line = 0;
+    return out;
 }
 
 std::optional<Cache::Displaced>
 Cache::insertLine(Addr addr, bool dirty)
 {
-    const unsigned set = geom_.setIndex(addr);
-    const uint64_t tag = geom_.tag(addr);
+    const unsigned set = setOf(addr);
     Set& s = sets_[set];
+    markTouched(set);
 
     policy::AccessMeta meta;
-    meta.block = addr / geom_.lineSize;
+    meta.block = addr >> offsetBits_;
     meta.hasBlock = true;
     if (metaA_)
         s.policyA->beginAccess(meta);
@@ -161,26 +177,18 @@ Cache::insertLine(Addr addr, bool dirty)
         s.policyB->beginAccess(meta);
 
     std::optional<Displaced> displaced;
-    policy::Way way = geom_.ways;
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (!s.valid[w]) {
-            way = w;
-            break;
-        }
-    }
+    policy::Way way = freeWay(set);
+    const std::size_t row = std::size_t{set} * geom_.ways;
     if (way == geom_.ways) {
         way = decider(set).victim();
         ++stats_.evictions;
-        displaced = Displaced{
-            ((s.tags[way] << log2Floor(geom_.numSets) | set)
-             << log2Floor(geom_.lineSize)),
-            static_cast<bool>(s.dirty[way])};
-        if (s.dirty[way])
+        const bool wasDirty = (lines_[row + way] & kDirty) != 0;
+        displaced = Displaced{lineAddr(set, way), wasDirty};
+        if (wasDirty)
             ++stats_.writebacks;
     }
-    s.tags[way] = tag;
-    s.valid[way] = true;
-    s.dirty[way] = dirty;
+    tags_[row + way] = tagOf(addr);
+    lines_[row + way] = dirty ? kValid | kDirty : kValid;
     s.policyA->fill(way);
     if (s.policyB)
         s.policyB->fill(way);
@@ -190,58 +198,48 @@ Cache::insertLine(Addr addr, bool dirty)
 void
 Cache::backInvalidate(Addr addr)
 {
-    const unsigned set = geom_.setIndex(addr);
-    const uint64_t tag = geom_.tag(addr);
-    Set& s = sets_[set];
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (s.valid[w] && s.tags[w] == tag) {
-            if (s.dirty[w])
-                ++stats_.writebacks;
-            s.valid[w] = false;
-            s.dirty[w] = false;
-            ++stats_.backInvalidations;
-            return;
-        }
-    }
+    const unsigned set = setOf(addr);
+    const unsigned w = findWay(set, tagOf(addr));
+    if (w == geom_.ways)
+        return;
+    uint8_t& line = lines_[std::size_t{set} * geom_.ways + w];
+    if (line & kDirty)
+        ++stats_.writebacks;
+    line = 0;
+    ++stats_.backInvalidations;
 }
 
 bool
 Cache::isDirty(Addr addr) const
 {
-    const unsigned set = geom_.setIndex(addr);
-    const uint64_t tag = geom_.tag(addr);
-    const Set& s = sets_[set];
-    for (unsigned w = 0; w < geom_.ways; ++w)
-        if (s.valid[w] && s.tags[w] == tag)
-            return s.dirty[w];
-    return false;
+    const unsigned set = setOf(addr);
+    const unsigned w = findWay(set, tagOf(addr));
+    return w < geom_.ways &&
+           (lines_[std::size_t{set} * geom_.ways + w] & kDirty);
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    const unsigned set = geom_.setIndex(addr);
-    const uint64_t tag = geom_.tag(addr);
-    const Set& s = sets_[set];
-    for (unsigned w = 0; w < geom_.ways; ++w)
-        if (s.valid[w] && s.tags[w] == tag)
-            return true;
-    return false;
+    return findWay(setOf(addr), tagOf(addr)) < geom_.ways;
 }
 
 void
 Cache::flush()
 {
-    for (auto& set : sets_) {
+    for (const unsigned set : touched_) {
+        Set& s = sets_[set];
+        uint8_t* lines = &lines_[std::size_t{set} * geom_.ways];
         for (unsigned w = 0; w < geom_.ways; ++w)
-            if (set.valid[w] && set.dirty[w])
+            if (lines[w] == (kValid | kDirty))
                 ++stats_.writebacks;
-        std::fill(set.valid.begin(), set.valid.end(), false);
-        std::fill(set.dirty.begin(), set.dirty.end(), false);
-        set.policyA->reset();
-        if (set.policyB)
-            set.policyB->reset();
+        std::fill(lines, lines + geom_.ways, uint8_t{0});
+        s.policyA->reset();
+        if (s.policyB)
+            s.policyB->reset();
+        s.touched = false;
     }
+    touched_.clear();
     // Note: PSEL is deliberately NOT reset. It models a global
     // selector register, which an invalidation instruction leaves
     // alone on real hardware; inference relies on training it across
@@ -251,18 +249,14 @@ Cache::flush()
 void
 Cache::invalidate(Addr addr)
 {
-    const unsigned set = geom_.setIndex(addr);
-    const uint64_t tag = geom_.tag(addr);
-    Set& s = sets_[set];
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (s.valid[w] && s.tags[w] == tag) {
-            if (s.dirty[w])
-                ++stats_.writebacks;
-            s.valid[w] = false;
-            s.dirty[w] = false;
-            return;
-        }
-    }
+    const unsigned set = setOf(addr);
+    const unsigned w = findWay(set, tagOf(addr));
+    if (w == geom_.ways)
+        return;
+    uint8_t& line = lines_[std::size_t{set} * geom_.ways + w];
+    if (line & kDirty)
+        ++stats_.writebacks;
+    line = 0;
 }
 
 unsigned
@@ -299,17 +293,17 @@ Cache::SetImage
 Cache::setImage(unsigned set) const
 {
     require(set < geom_.numSets, "Cache::setImage: set out of range");
-    const Set& s = sets_[set];
+    const std::size_t row = std::size_t{set} * geom_.ways;
     SetImage image;
     image.tags.assign(geom_.ways, 0);
     image.valid.assign(geom_.ways, false);
     for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (s.valid[w]) {
-            image.tags[w] = s.tags[w];
+        if (lines_[row + w] & kValid) {
+            image.tags[w] = tags_[row + w];
             image.valid[w] = true;
         }
     }
-    image.policyKey = s.policyA->stateKey();
+    image.policyKey = sets_[set].policyA->stateKey();
     return image;
 }
 
@@ -335,6 +329,7 @@ Cache::accessSet(unsigned set, uint64_t tag, bool write,
                  const policy::AccessMeta& meta)
 {
     Set& s = sets_[set];
+    markTouched(set);
     ++stats_.accesses;
     if (write)
         ++stats_.writes;
@@ -346,21 +341,21 @@ Cache::accessSet(unsigned set, uint64_t tag, bool write,
 
     AccessResult result;
     result.setIndex = set;
+    const std::size_t row = std::size_t{set} * geom_.ways;
 
     // Hit path: update every automaton so their state stays in sync
     // with the true contents.
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (s.valid[w] && s.tags[w] == tag) {
-            ++stats_.hits;
-            s.policyA->touch(w);
-            if (s.policyB)
-                s.policyB->touch(w);
-            if (write)
-                s.dirty[w] = true;
-            result.hit = true;
-            result.way = w;
-            return result;
-        }
+    policy::Way way = findWay(set, tag);
+    if (way < geom_.ways) {
+        ++stats_.hits;
+        s.policyA->touch(way);
+        if (s.policyB)
+            s.policyB->touch(way);
+        if (write)
+            lines_[row + way] |= kDirty;
+        result.hit = true;
+        result.way = way;
+        return result;
     }
 
     // Miss path.
@@ -368,28 +363,19 @@ Cache::accessSet(unsigned set, uint64_t tag, bool write,
     if (adaptive_)
         trainPsel(setRole(set));
 
-    policy::Way way = geom_.ways;
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (!s.valid[w]) {
-            way = w;
-            break;
-        }
-    }
+    way = freeWay(set);
     if (way == geom_.ways) {
         way = decider(set).victim();
         ++stats_.evictions;
-        result.evictedBlock =
-            ((s.tags[way] << log2Floor(geom_.numSets) | set)
-             << log2Floor(geom_.lineSize));
-        if (s.dirty[way]) {
+        result.evictedBlock = lineAddr(set, way);
+        if (lines_[row + way] & kDirty) {
             ++stats_.writebacks;
             result.writeback = true;
         }
     }
 
-    s.tags[way] = tag;
-    s.valid[way] = true;
-    s.dirty[way] = write; // write-allocate
+    tags_[row + way] = tag;
+    lines_[row + way] = write ? kValid | kDirty : kValid; // write-allocate
     s.policyA->fill(way);
     if (s.policyB)
         s.policyB->fill(way);

@@ -60,6 +60,9 @@ struct AccessResult
 
 /**
  * A single cache level with one replacement-policy automaton per set.
+ * Tags and valid/dirty bits live in flat row-major arrays (one row of
+ * ways per set), and flush() resets only the sets an access changed
+ * since the previous flush.
  *
  * In adaptive mode every set carries *two* policy automatons (both
  * observe every access so their state always reflects the true
@@ -214,14 +217,53 @@ class Cache
     SetImage setImage(unsigned set) const;
 
   private:
+    /** Replacement state of one set; its lines live in tags_/lines_. */
     struct Set
     {
-        std::vector<uint64_t> tags;
-        std::vector<bool> valid;
-        std::vector<bool> dirty;
         policy::PolicyPtr policyA;
         policy::PolicyPtr policyB; ///< null for static caches
+        bool touched = true;       ///< listed in touched_
     };
+
+    /** lines_ bits of one way. */
+    static constexpr uint8_t kValid = 1;
+    static constexpr uint8_t kDirty = 2;
+
+    /** Sets up the slicing shifts and the empty line rows. */
+    void initLines();
+
+    /** Lists @p set for the next flush() (it is about to change). */
+    void markTouched(unsigned set)
+    {
+        if (!sets_[set].touched) {
+            sets_[set].touched = true;
+            touched_.push_back(set);
+        }
+    }
+
+    unsigned setOf(Addr addr) const
+    {
+        return static_cast<unsigned>((addr >> offsetBits_) &
+                                     (geom_.numSets - 1));
+    }
+
+    uint64_t tagOf(Addr addr) const
+    {
+        return addr >> (offsetBits_ + setBits_);
+    }
+
+    /** Way of @p set holding @p tag, or geom_.ways when absent. */
+    unsigned findWay(unsigned set, uint64_t tag) const;
+
+    /** Lowest invalid way of @p set, or geom_.ways when full. */
+    unsigned freeWay(unsigned set) const;
+
+    /** First byte address of the line in (@p set, @p way). */
+    Addr lineAddr(unsigned set, unsigned way) const
+    {
+        const std::size_t i = std::size_t{set} * geom_.ways + way;
+        return ((tags_[i] << setBits_) | set) << offsetBits_;
+    }
 
     /** Chooses the automaton that decides victims for @p set. */
     const policy::ReplacementPolicy& decider(unsigned set) const;
@@ -243,7 +285,17 @@ class Cache
     DuelingConfig duel_;
     unsigned psel_ = 0;
     unsigned pselMax_ = 0;
+    unsigned offsetBits_ = 0; ///< log2(lineSize)
+    unsigned setBits_ = 0;    ///< log2(numSets)
     std::vector<Set> sets_;
+    std::vector<uint64_t> tags_; ///< numSets x ways, row-major
+    std::vector<uint8_t> lines_; ///< kValid | kDirty, same layout
+    /**
+     * Sets changed since the last flush(), which resets only these:
+     * every other set is already in its reset state. All sets start
+     * listed, so the first flush resets every set.
+     */
+    std::vector<unsigned> touched_;
     LevelStats stats_;
 };
 
