@@ -112,7 +112,7 @@ runSecuritySweep()
         "security",
         "eviction-set strategies, stealthy probes, and attacker "
         "observability per catalog policy");
-    json.field("smoke", uint64_t{smoke ? 1 : 0});
+    json.field("smoke", uint64_t{smoke ? 1u : 0u});
     json.field("max_configs", cfg.budget.maxConfigs);
     json.field("victim_lines", uint64_t{cfg.observe.victimLines});
 

@@ -16,7 +16,8 @@ namespace recap::eval
 /**
  * Simulates @p t against a cache with Belady's optimal replacement
  * (evict the resident line whose next use is farthest in the
- * future). Exact, per-set, O(n log ways).
+ * future; ties go to the larger block number). Exact, per-set,
+ * O(n * ways).
  */
 cache::LevelStats
 simulateOpt(const cache::Geometry& geom, const trace::Trace& t);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "recap/common/rng.hh"
 #include "recap/eval/opt.hh"
 #include "recap/eval/simulate.hh"
 #include "recap/policy/factory.hh"
@@ -92,6 +96,93 @@ TEST(Opt, SetsAreIndependent)
     // 1,2,2,1 -> misses 1,2, hit 2, miss 1.
     EXPECT_EQ(stats.misses, 4u);
     EXPECT_EQ(stats.hits, 2u);
+}
+
+/**
+ * Belady by brute force: on a miss in a full set, scan the rest of
+ * the trace for every resident block's next use and evict the
+ * farthest. Blocks never used again tie, and any choice among them
+ * gives the same counts.
+ */
+cache::LevelStats
+bruteForceOpt(const Geometry& g, const Trace& t)
+{
+    std::vector<std::vector<uint64_t>> sets(g.numSets);
+    cache::LevelStats stats;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const uint64_t block = g.blockNumber(t[i]);
+        std::vector<uint64_t>& set = sets[g.setIndex(t[i])];
+        ++stats.accesses;
+        if (std::find(set.begin(), set.end(), block) != set.end()) {
+            ++stats.hits;
+            continue;
+        }
+        ++stats.misses;
+        if (set.size() == g.ways) {
+            std::size_t victim = 0;
+            std::size_t farthest = 0;
+            for (std::size_t k = 0; k < set.size(); ++k) {
+                std::size_t j = i + 1;
+                while (j < t.size() && g.blockNumber(t[j]) != set[k])
+                    ++j;
+                if (j >= farthest) {
+                    farthest = j;
+                    victim = k;
+                }
+            }
+            set.erase(set.begin() + static_cast<std::ptrdiff_t>(victim));
+            ++stats.evictions;
+        }
+        set.push_back(block);
+    }
+    return stats;
+}
+
+/**
+ * Random accesses over twice the capacity, a tenth of them to blocks
+ * used only once. @p sparse puts those far above the rest, so the
+ * trace's blocks span more numbers than it has accesses.
+ */
+Trace
+randomTrace(const Geometry& g, std::size_t n, bool sparse, uint64_t seed)
+{
+    Rng rng(seed);
+    const uint64_t footprint = 2ull * g.numSets * g.ways;
+    const uint64_t onceBase = sparse ? uint64_t{1} << 40 : footprint;
+    Trace t;
+    uint64_t once = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const uint64_t block = rng.nextBelow(10) == 0
+                                   ? onceBase + once++
+                                   : rng.nextBelow(footprint);
+        t.push_back(block * g.lineSize + rng.nextBelow(g.lineSize));
+    }
+    return t;
+}
+
+TEST(Opt, MatchesBruteForceBelady)
+{
+    // sets x ways
+    const std::vector<Geometry> geoms = {
+        {64, 1, 4}, {64, 4, 2}, {64, 64, 8}, {64, 16, 16}};
+    for (const Geometry& g : geoms) {
+        for (const bool sparse : {false, true}) {
+            for (uint64_t seed = 1; seed <= 3; ++seed) {
+                const Trace t = randomTrace(g, 3000, sparse, seed);
+                const auto opt = simulateOpt(g, t);
+                const auto ref = bruteForceOpt(g, t);
+                const std::string where =
+                    std::to_string(g.numSets) + "x" +
+                    std::to_string(g.ways) + (sparse ? " sparse" : "") +
+                    " seed " + std::to_string(seed);
+                EXPECT_EQ(opt.accesses, t.size()) << where;
+                EXPECT_EQ(opt.hits, ref.hits) << where;
+                EXPECT_EQ(opt.misses, ref.misses) << where;
+                EXPECT_EQ(opt.evictions, ref.evictions) << where;
+                EXPECT_GT(opt.evictions, 0u) << where;
+            }
+        }
+    }
 }
 
 TEST(Opt, EmptyTrace)

@@ -103,7 +103,7 @@ TEST(PermutationDifferential, DerivedPolicyMatchesItsPrototype)
     // derive() reconstructs the permutation vectors of an arbitrary
     // permutation-policy automaton from behaviour alone; the result
     // must replay the prototype exactly.
-    for (const std::string spec :
+    for (const std::string& spec :
          {std::string("lru"), std::string("fifo"),
           std::string("plru")}) {
         for (unsigned k : {4u, 8u}) {

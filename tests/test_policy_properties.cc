@@ -268,7 +268,7 @@ TEST_P(PolicyProperty, FuzzedInvariantsHold)
  */
 TEST(PolicyLawsuit, LruStackProperty)
 {
-    for (const std::string spec :
+    for (const std::string& spec :
          {std::string("lru"), std::string("perm-lru")}) {
         for (unsigned ways : {2u, 3u, 4u, 8u}) {
             SetModel model(policy::makePolicy(spec, ways));
@@ -297,7 +297,7 @@ TEST(PolicyLawsuit, LruStackProperty)
  */
 TEST(PolicyLawsuit, FifoInsertionOrderProperty)
 {
-    for (const std::string spec :
+    for (const std::string& spec :
          {std::string("fifo"), std::string("perm-fifo")}) {
         for (unsigned ways : {2u, 3u, 4u, 8u}) {
             SetModel model(policy::makePolicy(spec, ways));
