@@ -30,11 +30,12 @@ proberForSet(MeasurementContext& ctx, const DiscoveredGeometry& geom,
 std::vector<BlockId>
 signatureSequence(unsigned ways, const AdaptiveDetectConfig& cfg)
 {
+    constexpr unsigned kSignatureLength = 64; ///< accesses
     Rng rng(cfg.seed);
     std::vector<BlockId> seq;
-    seq.reserve(cfg.signatureLength);
+    seq.reserve(kSignatureLength);
     BlockId fresh = 70000;
-    for (unsigned i = 0; i < cfg.signatureLength; ++i) {
+    for (unsigned i = 0; i < kSignatureLength; ++i) {
         if (rng.nextBool(0.1))
             seq.push_back(fresh++);
         else
@@ -93,7 +94,10 @@ detectAdaptive(MeasurementContext& ctx, const DiscoveredGeometry& geom,
         return sigs;
     };
 
-    // Signatures within the noise tolerance count as one behaviour.
+    // Signatures within this Hamming distance count as one behaviour:
+    // residual measurement noise must not split clusters, and genuine
+    // policy differences disagree in many more positions.
+    constexpr unsigned kClusterTolerance = 2;
     auto distance = [](const std::vector<bool>& a,
                        const std::vector<bool>& b) {
         unsigned d = 0;
@@ -110,7 +114,7 @@ detectAdaptive(MeasurementContext& ctx, const DiscoveredGeometry& geom,
     for (unsigned s = 0; s < window; ++s) {
         bool placed = false;
         for (size_t c = 0; c < reps.size(); ++c) {
-            if (distance(sigs1[s], reps[c]) <= cfg.clusterTolerance) {
+            if (distance(sigs1[s], reps[c]) <= kClusterTolerance) {
                 clusters[c].push_back(s);
                 placed = true;
                 break;
@@ -145,10 +149,13 @@ detectAdaptive(MeasurementContext& ctx, const DiscoveredGeometry& geom,
 
     // Retraining: thrash every majority set. The selected policy's
     // leader sets are among them, so their misses push the selector
-    // towards the other policy.
+    // towards the other policy. The total misses across those leader
+    // sets must exceed the selector's full range, so the fresh lines
+    // per set are generous.
+    constexpr unsigned kThrashLinesPerSet = 400;
     for (unsigned s : majority_sets) {
         SetProber prober = proberForSet(ctx, geom, targetLevel, cfg, s);
-        prober.thrash(cfg.thrashLinesPerSet);
+        prober.thrash(kThrashLinesPerSet);
     }
 
     // Pass 2: who flipped?
@@ -156,7 +163,7 @@ detectAdaptive(MeasurementContext& ctx, const DiscoveredGeometry& geom,
     std::vector<unsigned> flipped;
     std::vector<unsigned> held_majority;
     for (unsigned s : majority_sets) {
-        if (distance(sigs2[s], sigs1[s]) > cfg.clusterTolerance)
+        if (distance(sigs2[s], sigs1[s]) > kClusterTolerance)
             flipped.push_back(s);
         else
             held_majority.push_back(s);

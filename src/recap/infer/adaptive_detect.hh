@@ -39,29 +39,11 @@ struct AdaptiveDetectConfig
     /** Consecutive sets to examine (must span leader placement). */
     unsigned windowSets = 128;
 
-    /** Length of the signature probe sequence (in accesses). */
-    unsigned signatureLength = 64;
-
-    /**
-     * Fresh lines used to thrash one majority set during retraining.
-     * The total misses across the selected policy's leader sets must
-     * exceed the selector's full range, so keep this generous.
-     */
-    unsigned thrashLinesPerSet = 400;
-
     /** Base address of set 0 of the window. */
     cache::Addr baseAddr = uint64_t{1} << 32;
 
     /** Majority-vote repeats for signatures. */
     unsigned voteRepeats = 1;
-
-    /**
-     * Two signatures within this Hamming distance count as the same
-     * behaviour — residual measurement noise must not split
-     * clusters. Genuine policy differences disagree in many more
-     * positions.
-     */
-    unsigned clusterTolerance = 2;
 
     uint64_t seed = 4242;
 

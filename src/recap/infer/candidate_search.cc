@@ -13,6 +13,23 @@
 namespace recap::infer
 {
 
+namespace
+{
+
+/** Random rounds without an elimination before the search stops. */
+constexpr unsigned kStallRounds = 10;
+
+/** Probe sequences are about this many times the associativity long. */
+constexpr unsigned kLengthFactor = 6;
+
+/** Under the sequential test: fresh replays confirming a verdict. */
+constexpr unsigned kConfirmRounds = 2;
+
+/** Under the sequential test: no-quorum rounds before aborting. */
+constexpr unsigned kMaxLowInfoRounds = 6;
+
+} // namespace
+
 std::vector<std::string>
 defaultCandidateSpecs(unsigned ways)
 {
@@ -161,7 +178,7 @@ CandidateSearch::run()
     bool abortedLowInfo = false;
     for (unsigned round = 0;
          round < cfg_.maxRounds && alive.size() > 1 &&
-         stall < cfg_.stallRounds;
+         stall < kStallRounds;
          ++round) {
         ++result.roundsRun;
 
@@ -175,7 +192,7 @@ CandidateSearch::run()
         std::vector<BlockId> seq;
         BlockId fresh = 100000 + static_cast<BlockId>(round) * 10000;
         if (round % 3 == 2) {
-            const unsigned length = cfg_.lengthFactor * k + 48;
+            const unsigned length = kLengthFactor * k + 48;
             std::vector<BlockId> recent;
             seq.reserve(length);
             for (unsigned i = 0; i < length; ++i) {
@@ -192,7 +209,7 @@ CandidateSearch::run()
         } else {
             const unsigned universe = k + 1 + static_cast<unsigned>(
                 rng.nextBelow(4));
-            const unsigned length = cfg_.lengthFactor * k;
+            const unsigned length = kLengthFactor * k;
             seq.reserve(length);
             for (unsigned i = 0; i < length; ++i) {
                 if (rng.nextBool(0.08))
@@ -204,7 +221,7 @@ CandidateSearch::run()
 
         const Observation observed = observe(seq);
         if (lowInfo(observed)) {
-            if (++lowInfoRounds > cfg_.maxLowInfoRounds) {
+            if (++lowInfoRounds > kMaxLowInfoRounds) {
                 abortedLowInfo = true;
                 break;
             }
@@ -242,7 +259,7 @@ CandidateSearch::run()
         ++result.roundsRun;
         const Observation observed = observe(verdict.counterexample);
         if (lowInfo(observed)) {
-            if (++lowInfoRounds > cfg_.maxLowInfoRounds) {
+            if (++lowInfoRounds > kMaxLowInfoRounds) {
                 abortedLowInfo = true;
                 break;
             }
@@ -282,12 +299,12 @@ CandidateSearch::run()
             // fresh sequences it was never selected on.
             Rng confirmRng(cfg_.seed ^ 0x5afe5eedULL);
             for (unsigned round = 0;
-                 round < cfg_.confirmRounds && !result.undetermined;
+                 round < kConfirmRounds && !result.undetermined;
                  ++round) {
                 const unsigned universe =
                     k + 1 +
                     static_cast<unsigned>(confirmRng.nextBelow(4));
-                const unsigned length = cfg_.lengthFactor * k;
+                const unsigned length = kLengthFactor * k;
                 std::vector<BlockId> seq(length);
                 for (auto& b : seq)
                     b = 1 + confirmRng.nextBelow(universe);

@@ -29,16 +29,6 @@ struct CandidateSearchConfig
     unsigned maxRounds = 64;
 
     /**
-     * Stop after this many consecutive rounds without an
-     * elimination: further random probes are unlikely to separate
-     * the remaining candidates.
-     */
-    unsigned stallRounds = 10;
-
-    /** Sequence length is about this many times the associativity. */
-    unsigned lengthFactor = 6;
-
-    /**
      * Explicit root seed for the probe-sequence RNG; callers (CLI,
      * benches, the pipeline) must set it for reproducible runs.
      */
@@ -67,21 +57,6 @@ struct CandidateSearchConfig
      * ablation baseline.
      */
     bool targetedPhase = true;
-
-    /**
-     * With adaptive voting enabled on the prober: extra fresh probe
-     * sequences replayed after a decided verdict; any determined
-     * mismatch against the surviving candidate downgrades the
-     * verdict to undetermined instead of shipping a wrong answer.
-     */
-    unsigned confirmRounds = 2;
-
-    /**
-     * With adaptive voting enabled: rounds whose observations are
-     * mostly undetermined are skipped (they carry no evidence);
-     * after this many of them the search aborts as undetermined.
-     */
-    unsigned maxLowInfoRounds = 6;
 };
 
 /** Result of the candidate search. */

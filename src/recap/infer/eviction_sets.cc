@@ -15,20 +15,21 @@ EvictionSetFinder::EvictionSetFinder(MeasurementContext& ctx,
     require(cfg_.level < ctx.depth(),
             "EvictionSetFinder: level out of range");
     require(cfg_.ways >= 1, "EvictionSetFinder: ways must be >= 1");
-    require(cfg_.hammerRounds >= 1,
-            "EvictionSetFinder: hammer rounds must be >= 1");
 }
 
 bool
 EvictionSetFinder::evicts(cache::Addr target,
                           const std::vector<cache::Addr>& lines)
 {
+    // Each probe line is accessed this many times, so policies that
+    // insert with low priority (LIP-style) still build up pressure.
+    constexpr unsigned kHammerRounds = 2;
     ++tests_;
     return majorityVote(cfg_.voteRepeats, [&] {
         ctx_.beginExperiment();
         ctx_.flush();
         ctx_.access(target);
-        for (unsigned round = 0; round < cfg_.hammerRounds; ++round)
+        for (unsigned round = 0; round < kHammerRounds; ++round)
             for (cache::Addr line : lines)
                 ctx_.access(line);
         return !ctx_.countedHit(cfg_.level, target);
@@ -53,14 +54,13 @@ EvictionSetFinder::reduce(cache::Addr target,
     if (!evicts(target, pool))
         return finish(std::nullopt);
 
-    const unsigned groups =
-        cfg_.groups ? cfg_.groups : cfg_.ways + 1;
-
-    // Group-testing reduction: repeatedly try to drop one group.
-    // The split must produce exactly `groups` non-empty groups
-    // whenever the pool allows it — the pigeonhole argument (ways
-    // same-set survivors across ways+1 groups leave one group free
-    // of them) breaks if rounding collapses the group count.
+    // Group-testing reduction: repeatedly try to drop one of ways + 1
+    // groups (the classic split factor). The split must produce
+    // exactly `groups` non-empty groups whenever the pool allows it
+    // — the pigeonhole argument (ways same-set survivors across
+    // ways+1 groups leave one group free of them) breaks if rounding
+    // collapses the group count.
+    const unsigned groups = cfg_.ways + 1;
     unsigned stuck = 0;
     while (pool.size() > cfg_.ways) {
         bool dropped = false;

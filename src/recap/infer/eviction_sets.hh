@@ -41,18 +41,8 @@ struct EvictionSetConfig
      */
     unsigned ways = 8;
 
-    /** Split factor per reduction round (k+1 is the classic pick). */
-    unsigned groups = 0; ///< 0 = ways + 1
-
     /** Majority-vote repeats per eviction test. */
     unsigned voteRepeats = 1;
-
-    /**
-     * Access each probe line this many times during an eviction
-     * test, so policies that insert with low priority (LIP-style)
-     * still accumulate enough pressure.
-     */
-    unsigned hammerRounds = 2;
 };
 
 /** Result of one discovery run. */

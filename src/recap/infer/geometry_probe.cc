@@ -17,13 +17,20 @@ assumedGeometry(const hw::MachineSpec& spec)
     return geom;
 }
 
-GeometryProbe::GeometryProbe(MeasurementContext& ctx,
-                             const GeometryProbeConfig& cfg)
-    : ctx_(ctx), cfg_(cfg)
+namespace
 {
-    require(cfg_.measureRounds >= 2,
-            "GeometryProbe: need at least two measurement rounds");
-}
+
+constexpr unsigned kMaxLineSize = 1024;
+constexpr unsigned kMaxWays = 64; ///< associativity search cap
+
+/** A multiple of every set stride, so all lines share every set. */
+constexpr uint64_t kUniversalStride = uint64_t{1} << 27;
+
+/** Cycles before measuring, then cycles measured (at least two). */
+constexpr unsigned kWarmupRounds = 4;
+constexpr unsigned kMeasureRounds = 6;
+
+} // namespace
 
 unsigned
 GeometryProbe::discoverLineSize()
@@ -31,7 +38,7 @@ GeometryProbe::discoverLineSize()
     // After loading base, base+delta hits L1 iff both fall into the
     // same line. The smallest power-of-two delta that misses is the
     // line size.
-    for (unsigned delta = 1; delta <= cfg_.maxLineSize; delta *= 2) {
+    for (unsigned delta = 1; delta <= kMaxLineSize; delta *= 2) {
         const bool missed = majorityVote(cfg_.voteRepeats, [&] {
             ctx_.beginExperiment();
             ctx_.flush();
@@ -41,7 +48,7 @@ GeometryProbe::discoverLineSize()
         if (missed)
             return delta;
     }
-    throw UsageError("GeometryProbe: line size exceeds maxLineSize");
+    throw UsageError("GeometryProbe: line size above 1024 bytes");
 }
 
 LevelGeometry
@@ -54,9 +61,9 @@ GeometryProbe::discoverLevel(unsigned level, unsigned lineSize)
     // stride, so all lines conflict at every level) with no steady
     // misses at this level.
     unsigned ways = 0;
-    for (unsigned n = 2; n <= cfg_.maxWays + 1; ++n) {
+    for (unsigned n = 2; n <= kMaxWays + 1; ++n) {
         const bool missing = majorityVote(cfg_.voteRepeats, [&] {
-            return steadyMisses(level, n, cfg_.universalStride);
+            return steadyMisses(level, n, kUniversalStride);
         });
         if (missing) {
             ways = n - 1;
@@ -69,7 +76,7 @@ GeometryProbe::discoverLevel(unsigned level, unsigned lineSize)
 
     // Set stride: smallest power-of-two stride at which ways+1
     // cycling lines still thrash this level.
-    for (uint64_t stride = lineSize; stride <= cfg_.universalStride;
+    for (uint64_t stride = lineSize; stride <= kUniversalStride;
          stride *= 2) {
         const bool missing = majorityVote(cfg_.voteRepeats, [&] {
             return steadyMisses(level, ways + 1, stride);
@@ -104,11 +111,11 @@ GeometryProbe::steadyMisses(unsigned level, unsigned count,
             ctx_.access(cfg_.baseAddr + stride * i);
     };
 
-    for (unsigned r = 0; r < cfg_.warmupRounds; ++r)
+    for (unsigned r = 0; r < kWarmupRounds; ++r)
         cycle_once();
 
     uint64_t misses = 0;
-    for (unsigned r = 0; r < cfg_.measureRounds; ++r) {
+    for (unsigned r = 0; r < kMeasureRounds; ++r) {
         for (unsigned i = 0; i < count; ++i) {
             const auto obs = ctx_.observeAtLevel(
                 level, cfg_.baseAddr + stride * i);
@@ -118,7 +125,7 @@ GeometryProbe::steadyMisses(unsigned level, unsigned count,
     }
     // A fitting working set gives ~0 misses; a thrashing one at
     // least one per round.
-    return misses >= cfg_.measureRounds / 2 + 1;
+    return misses >= kMeasureRounds / 2 + 1;
 }
 
 } // namespace recap::infer

@@ -75,12 +75,6 @@ DiscoveredGeometry assumedGeometry(const hw::MachineSpec& spec);
 struct GeometryProbeConfig
 {
     cache::Addr baseAddr = uint64_t{1} << 32; ///< probe anchor
-    unsigned maxWays = 64;            ///< associativity search cap
-    uint64_t universalStride = uint64_t{1} << 27; ///< multiple of any
-                                                  ///< set stride
-    unsigned warmupRounds = 4;
-    unsigned measureRounds = 6;
-    unsigned maxLineSize = 1024;
     unsigned voteRepeats = 1; ///< full-experiment majority voting
 };
 
@@ -91,7 +85,9 @@ class GeometryProbe
 {
   public:
     GeometryProbe(MeasurementContext& ctx,
-                  const GeometryProbeConfig& cfg = {});
+                  const GeometryProbeConfig& cfg = {})
+        : ctx_(ctx), cfg_(cfg)
+    {}
 
     /** Discovers the line size (assumed shared by all levels). */
     unsigned discoverLineSize();

@@ -21,12 +21,6 @@ MeasurementContext::access(cache::Addr addr)
     machine_.access(addr);
 }
 
-unsigned
-MeasurementContext::timedLevel(cache::Addr addr)
-{
-    return machine_.classifyLatency(machine_.timedAccess(addr));
-}
-
 bool
 MeasurementContext::countedHit(unsigned level, cache::Addr addr)
 {
@@ -84,13 +78,7 @@ bool
 majorityVote(unsigned repeats, const std::function<bool()>& experiment)
 {
     require(repeats >= 1, "majorityVote: need at least one repeat");
-    if (repeats % 2 == 0)
-        ++repeats;
-    unsigned yes = 0;
-    for (unsigned i = 0; i < repeats; ++i)
-        if (experiment())
-            ++yes;
-    return yes > repeats / 2;
+    return adaptiveVote(fixedSchedule(repeats), experiment).value();
 }
 
 } // namespace recap::infer

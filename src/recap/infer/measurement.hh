@@ -41,9 +41,6 @@ class MeasurementContext
     /** Untimed load. */
     void access(cache::Addr addr);
 
-    /** Timed load classified into the level it was served from. */
-    unsigned timedLevel(cache::Addr addr);
-
     /**
      * Counter-mode observation: issues one load and reports whether
      * level @p level served it as a hit, judged from the hit-counter
@@ -110,7 +107,8 @@ class MeasurementContext
 
 /**
  * Runs @p experiment an odd number of times and returns the majority
- * boolean outcome — the standard defence against measurement noise.
+ * boolean outcome — the standard defence against measurement noise;
+ * the sequential test under fixedSchedule(@p repeats).
  *
  * @param repeats Number of repetitions; forced up to the next odd
  *                value; 1 means "trust a single run".

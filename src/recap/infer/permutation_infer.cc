@@ -365,7 +365,7 @@ PermutationInference::validate(
     const policy::PermutationPolicy& candidate, std::string& reason)
 {
     const unsigned k = prober_.ways();
-    const unsigned length = cfg_.validationLengthFactor * k;
+    const unsigned length = 6 * k; // sequences about 6k accesses long
     Rng rng(cfg_.seed);
 
     // A mismatch refutes only where the observation is determined;

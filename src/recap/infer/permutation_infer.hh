@@ -33,9 +33,6 @@ struct PermutationInferenceConfig
     /** Random cross-validation sequences. */
     unsigned validationRounds = 24;
 
-    /** Length factor: sequences are about this many times k long. */
-    unsigned validationLengthFactor = 6;
-
     /**
      * Find survival positions by binary search (true) or by linear
      * upward scan (false). Both are correct for permutation

@@ -53,6 +53,13 @@ namespace
 {
 
 /**
+ * Under the sequential test, a decided verdict (or an adaptivity
+ * claim) whose post-hoc agreement falls below this is downgraded to
+ * Undetermined.
+ */
+constexpr double kMinAgreement = 0.85;
+
+/**
  * "L<n>" built by append instead of operator+: the rvalue
  * concatenation trips GCC 12's -Wrestrict false positive (PR105329)
  * once inlining gets deep enough.
@@ -135,7 +142,7 @@ inferLevelAtImpl(MeasurementContext& ctx,
 
     auto finish = [&](LevelReport r) {
         if (robust && r.outcome == LevelOutcome::kDecided &&
-            r.agreement < opts.robust.minAgreement) {
+            r.agreement < kMinAgreement) {
             // A verdict that cannot predict the machine is not a
             // verdict; degrade instead of shipping it.
             r.outcome = LevelOutcome::kUndetermined;
@@ -348,7 +355,7 @@ inferMachine(hw::Machine& machine, const InferenceOptions& opts)
             const bool trusted = !robust ||
                 (!lvl.adaptiveSelected.empty() &&
                  !lvl.adaptiveUnselected.empty() &&
-                 lvl.agreement >= opts.robust.minAgreement);
+                 lvl.agreement >= kMinAgreement);
             if (trusted) {
                 lvl.loadsUsed = ctx.loadsIssued() - loads_before;
                 report.levels.push_back(std::move(lvl));

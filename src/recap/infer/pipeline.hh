@@ -40,12 +40,6 @@ struct RobustOptions
     unsigned quorumSets = 1;
 
     /**
-     * With `vote` enabled: a decided verdict whose post-hoc
-     * agreement falls below this is downgraded to Undetermined.
-     */
-    double minAgreement = 0.85;
-
-    /**
      * Calibrate the latency outlier fence up front so timed probing
      * rejects TLB/interrupt outliers (see
      * MeasurementContext::calibrateLatencyFence).

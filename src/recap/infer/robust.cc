@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "recap/common/error.hh"
 
@@ -11,35 +12,56 @@ namespace recap::infer
 namespace
 {
 
-unsigned
-marginOf(unsigned yes, unsigned total)
+/** The top class (ties to the lower one) and the runner-up's votes. */
+std::pair<unsigned, unsigned>
+topTwo(const unsigned* votes, unsigned classes)
 {
-    const unsigned no = total - yes;
-    return yes > no ? yes - no : no - yes;
+    unsigned best = 0;
+    for (unsigned c = 1; c < classes; ++c)
+        if (votes[c] > votes[best])
+            best = c;
+    unsigned second = 0;
+    for (unsigned c = 0; c < classes; ++c)
+        if (c != best)
+            second = std::max(second, votes[c]);
+    return {best, second};
 }
 
 VoteOutcome
-concludeVote(const AdaptiveVoteConfig& cfg, unsigned yes,
-             unsigned total)
+concludeVote(const AdaptiveVoteConfig& cfg, const unsigned* votes,
+             unsigned classes, unsigned total)
 {
     VoteOutcome out;
     out.samples = total;
     if (total == 0)
         return out;
-    const unsigned majority = std::max(yes, total - yes);
+    const auto [best, second] = topTwo(votes, classes);
+    out.winner = best;
     out.confidence =
-        static_cast<double>(majority) / static_cast<double>(total);
+        static_cast<double>(votes[best]) / static_cast<double>(total);
     const bool settled =
-        marginOf(yes, total) >= cfg.settleMargin ||
-        (out.confidence >= cfg.minConfidence && yes * 2 != total);
+        votes[best] - second >= cfg.settleMargin ||
+        (out.confidence >= cfg.minConfidence && votes[best] != second);
     if (settled)
-        out.verdict = yes * 2 > total ? Verdict::kYes : Verdict::kNo;
+        out.verdict = best != 0 ? Verdict::kYes : Verdict::kNo;
     else
         out.verdict = Verdict::kUndetermined;
     return out;
 }
 
 } // namespace
+
+AdaptiveVoteConfig
+fixedSchedule(unsigned repeats)
+{
+    AdaptiveVoteConfig cfg;
+    const unsigned n = std::max(1u, repeats) | 1u;
+    cfg.initialRepeats = n;
+    cfg.maxRepeats = n;
+    cfg.settleMargin = 0;
+    cfg.minConfidence = 0.0;
+    return cfg;
+}
 
 VoteOutcome
 adaptiveVote(const AdaptiveVoteConfig& cfg,
@@ -49,56 +71,61 @@ adaptiveVote(const AdaptiveVoteConfig& cfg,
     const unsigned step = std::max(1u, cfg.escalationStep);
     const unsigned budget = std::max(initial, cfg.maxRepeats);
 
-    unsigned yes = 0;
+    unsigned votes[2] = {0, 0}; // no, yes
     unsigned n = 0;
     unsigned target = initial;
     for (;;) {
         while (n < target) {
-            if (experiment())
-                ++yes;
+            ++votes[experiment() ? 1 : 0];
             ++n;
-            if (cfg.settleMargin > 0 &&
-                marginOf(yes, n) >= cfg.settleMargin) {
-                return concludeVote(cfg, yes, n);
-            }
+            const unsigned margin = votes[1] > votes[0]
+                ? votes[1] - votes[0]
+                : votes[0] - votes[1];
+            if (cfg.settleMargin > 0 && margin >= cfg.settleMargin)
+                return concludeVote(cfg, votes, 2, n);
         }
         if (target >= budget)
             break;
         // Contradictory readings: escalate the repetition budget.
         target = std::min(budget, target + step);
     }
-    return concludeVote(cfg, yes, n);
+    return concludeVote(cfg, votes, 2, n);
 }
 
 SequenceVote::SequenceVote(const AdaptiveVoteConfig& cfg,
-                           std::size_t positions)
-    : cfg_(cfg), yes_(positions, 0), counted_(positions, 0)
+                           std::size_t positions, unsigned classes)
+    : cfg_(cfg), classes_(classes), votes_(positions * classes, 0),
+      counted_(positions, 0)
 {
+    require(classes >= 2, "SequenceVote: need at least two classes");
     cfg_.initialRepeats = std::max(1u, cfg_.initialRepeats);
     cfg_.maxRepeats =
         std::max(cfg_.initialRepeats, cfg_.maxRepeats);
 }
 
 void
-SequenceVote::addReplay(const std::vector<bool>& outcome)
-{
-    addReplay(outcome, {});
-}
-
-void
 SequenceVote::addReplay(const std::vector<bool>& outcome,
                         const std::vector<bool>& counted)
 {
-    require(outcome.size() == yes_.size(),
+    addClassReplay(
+        std::vector<unsigned>(outcome.begin(), outcome.end()), counted);
+}
+
+void
+SequenceVote::addClassReplay(const std::vector<unsigned>& readings,
+                             const std::vector<bool>& counted)
+{
+    require(readings.size() == counted_.size(),
             "SequenceVote::addReplay: outcome size mismatch");
-    require(counted.empty() || counted.size() == yes_.size(),
+    require(counted.empty() || counted.size() == counted_.size(),
             "SequenceVote::addReplay: counted size mismatch");
-    for (std::size_t i = 0; i < yes_.size(); ++i) {
+    for (std::size_t i = 0; i < counted_.size(); ++i) {
         if (!counted.empty() && !counted[i])
             continue; // outlier reading: abstain at this position
+        require(readings[i] < classes_,
+                "SequenceVote::addReplay: class out of range");
         ++counted_[i];
-        if (outcome[i])
-            ++yes_[i];
+        ++votes_[i * classes_ + readings[i]];
     }
     ++replays_;
 }
@@ -110,10 +137,11 @@ SequenceVote::done() const
         return true;
     if (replays_ < cfg_.initialRepeats)
         return false;
-    for (std::size_t i = 0; i < yes_.size(); ++i) {
-        if (cfg_.settleMargin == 0)
-            continue;
-        if (marginOf(yes_[i], counted_[i]) < cfg_.settleMargin)
+    if (cfg_.settleMargin == 0)
+        return true;
+    for (std::size_t i = 0; i < counted_.size(); ++i) {
+        const auto [best, second] = topTwo(votesAt(i), classes_);
+        if (votesAt(i)[best] - second < cfg_.settleMargin)
             return false;
     }
     return true;
@@ -123,9 +151,10 @@ std::vector<VoteOutcome>
 SequenceVote::outcomes() const
 {
     std::vector<VoteOutcome> out;
-    out.reserve(yes_.size());
-    for (std::size_t i = 0; i < yes_.size(); ++i)
-        out.push_back(concludeVote(cfg_, yes_[i], counted_[i]));
+    out.reserve(counted_.size());
+    for (std::size_t i = 0; i < counted_.size(); ++i)
+        out.push_back(
+            concludeVote(cfg_, votesAt(i), classes_, counted_[i]));
     return out;
 }
 

@@ -11,12 +11,12 @@ namespace recap::infer
 SetProber::SetProber(MeasurementContext& ctx,
                      const DiscoveredGeometry& geom,
                      unsigned targetLevel, const SetProberConfig& cfg)
-    : ctx_(ctx), geom_(geom), targetLevel_(targetLevel), cfg_(cfg)
+    : ctx_(ctx), geom_(geom), targetLevel_(targetLevel), cfg_(cfg),
+      schedule_(cfg.vote.enabled ? cfg.vote
+                                 : fixedSchedule(cfg.voteRepeats))
 {
     require(targetLevel < geom_.levels.size(),
             "SetProber: target level out of range");
-    require(cfg_.evictorFactor >= 1,
-            "SetProber: evictor factor must be >= 1");
     // The conflict-line construction needs each level's set stride to
     // strictly divide the next one's.
     for (unsigned u = 0; u + 1 <= targetLevel_; ++u) {
@@ -96,107 +96,35 @@ SetProber::blockAddr(BlockId block) const
 bool
 SetProber::survives(const std::vector<BlockId>& seq, BlockId probe)
 {
-    if (cfg_.vote.enabled)
-        return survivesVote(seq, probe).value();
-    return majorityVote(cfg_.voteRepeats, [&] {
-        checkpoint();
-        ctx_.beginExperiment();
-        ctx_.flush();
-        for (BlockId b : seq) {
-            evictInnerLevels();
-            ctx_.access(blockAddr(b));
-        }
-        return routedObservedAccess(probe);
-    });
+    return survivesVote(seq, probe).value();
 }
 
 VoteOutcome
 SetProber::survivesVote(const std::vector<BlockId>& seq, BlockId probe)
 {
-    const auto experiment = [&] {
-        checkpoint();
-        ctx_.beginExperiment();
-        ctx_.flush();
-        for (BlockId b : seq) {
-            evictInnerLevels();
-            ctx_.access(blockAddr(b));
-        }
+    return adaptiveVote(schedule_, [&] {
+        run(seq);
         return routedObservedAccess(probe);
-    };
-    if (cfg_.vote.enabled)
-        return adaptiveVote(cfg_.vote, experiment);
-
-    unsigned repeats = std::max(1u, cfg_.voteRepeats);
-    if (repeats % 2 == 0)
-        ++repeats;
-    unsigned yes = 0;
-    for (unsigned i = 0; i < repeats; ++i)
-        if (experiment())
-            ++yes;
-    VoteOutcome out;
-    out.samples = repeats;
-    out.verdict = yes * 2 > repeats ? Verdict::kYes : Verdict::kNo;
-    out.confidence = static_cast<double>(std::max(yes, repeats - yes)) /
-                     static_cast<double>(repeats);
-    return out;
+    });
 }
 
 std::vector<bool>
 SetProber::observe(const std::vector<BlockId>& seq)
 {
-    if (cfg_.vote.enabled)
-        return observeRobust(seq).hits;
-    unsigned repeats = cfg_.voteRepeats;
-    if (repeats % 2 == 0)
-        ++repeats;
-    std::vector<unsigned> hits(seq.size(), 0);
-    for (unsigned r = 0; r < repeats; ++r) {
-        const std::vector<bool> outcome = replayObserved(seq);
-        for (size_t i = 0; i < seq.size(); ++i)
-            if (outcome[i])
-                ++hits[i];
-    }
-    std::vector<bool> voted(seq.size());
-    for (size_t i = 0; i < seq.size(); ++i)
-        voted[i] = hits[i] > repeats / 2;
-    return voted;
+    return observeRobust(seq).hits;
 }
 
 SetProber::ObservedSequence
 SetProber::observeRobust(const std::vector<BlockId>& seq)
 {
+    SequenceVote vote(schedule_, seq.size());
+    while (!vote.done())
+        vote.addReplay(replayObserved(seq));
+
     ObservedSequence out;
     out.hits.resize(seq.size());
     out.confidence.resize(seq.size());
     out.determined.resize(seq.size());
-
-    if (!cfg_.vote.enabled) {
-        // Legacy fixed-N schedule, reported through the robust type.
-        unsigned repeats = std::max(1u, cfg_.voteRepeats);
-        if (repeats % 2 == 0)
-            ++repeats;
-        std::vector<unsigned> hits(seq.size(), 0);
-        for (unsigned r = 0; r < repeats; ++r) {
-            const std::vector<bool> outcome = replayObserved(seq);
-            for (size_t i = 0; i < seq.size(); ++i)
-                if (outcome[i])
-                    ++hits[i];
-        }
-        for (size_t i = 0; i < seq.size(); ++i) {
-            out.hits[i] = hits[i] > repeats / 2;
-            out.confidence[i] =
-                static_cast<double>(std::max(hits[i],
-                                             repeats - hits[i])) /
-                static_cast<double>(repeats);
-            out.determined[i] = true;
-        }
-        out.replays = repeats;
-        return out;
-    }
-
-    SequenceVote vote(cfg_.vote, seq.size());
-    while (!vote.done())
-        vote.addReplay(replayObserved(seq));
     const std::vector<VoteOutcome> outcomes = vote.outcomes();
     for (size_t i = 0; i < seq.size(); ++i) {
         out.hits[i] = outcomes[i].value();
@@ -210,101 +138,39 @@ SetProber::observeRobust(const std::vector<BlockId>& seq)
 std::vector<unsigned>
 SetProber::observeLevels(const std::vector<BlockId>& seq)
 {
-    if (cfg_.vote.enabled)
-        return observeLevelsRobust(seq).levels;
-    unsigned repeats = cfg_.voteRepeats;
-    if (repeats % 2 == 0)
-        ++repeats;
-    // votes[i][lvl]: how many replays served access i from lvl.
-    const unsigned depth = ctx_.depth() + 1;
-    std::vector<std::vector<unsigned>> votes(
-        seq.size(), std::vector<unsigned>(depth, 0));
-    for (unsigned r = 0; r < repeats; ++r) {
-        const std::vector<unsigned> levels = replayTimed(seq);
-        for (size_t i = 0; i < seq.size(); ++i)
-            ++votes[i][std::min(levels[i], depth - 1)];
-    }
-    std::vector<unsigned> voted(seq.size(), 0);
-    for (size_t i = 0; i < seq.size(); ++i) {
-        unsigned best = 0;
-        for (unsigned lvl = 1; lvl < depth; ++lvl)
-            if (votes[i][lvl] > votes[i][best])
-                best = lvl;
-        voted[i] = best;
-    }
-    return voted;
+    return observeLevelsRobust(seq).levels;
 }
 
 SetProber::ObservedLevels
 SetProber::observeLevelsRobust(const std::vector<BlockId>& seq)
 {
-    AdaptiveVoteConfig vc = cfg_.vote;
-    vc.initialRepeats = std::max(1u, vc.initialRepeats);
-    vc.maxRepeats = std::max(vc.initialRepeats, vc.maxRepeats);
-
-    const unsigned depth = ctx_.depth() + 1;
-    std::vector<std::vector<unsigned>> votes(
-        seq.size(), std::vector<unsigned>(depth, 0));
-    std::vector<unsigned> counted(seq.size(), 0);
-
-    // Top count and runner-up count at position i.
-    const auto topTwo = [&](size_t i) {
-        unsigned best = 0;
-        for (unsigned lvl = 1; lvl < depth; ++lvl)
-            if (votes[i][lvl] > votes[i][best])
-                best = lvl;
-        unsigned second = 0;
-        for (unsigned lvl = 0; lvl < depth; ++lvl)
-            if (lvl != best)
-                second = std::max(second, votes[i][lvl]);
-        return std::pair<unsigned, unsigned>(best, second);
-    };
-
-    unsigned replays = 0;
-    const auto settled = [&] {
-        if (replays >= vc.maxRepeats)
-            return true;
-        if (replays < vc.initialRepeats)
-            return false;
-        if (vc.settleMargin == 0)
-            return true;
-        for (size_t i = 0; i < seq.size(); ++i) {
-            const auto [best, second] = topTwo(i);
-            if (votes[i][best] - second < vc.settleMargin)
-                return false;
+    // One class per level plus memory.
+    const unsigned classes = ctx_.depth() + 1;
+    SequenceVote vote(schedule_, seq.size(), classes);
+    std::vector<unsigned> levels(seq.size());
+    std::vector<bool> counted(seq.size());
+    while (!vote.done()) {
+        beginReplay();
+        for (std::size_t i = 0; i < seq.size(); ++i) {
+            evictInnerLevels();
+            const auto reading = ctx_.timedReading(blockAddr(seq[i]));
+            levels[i] = std::min(reading.level, classes - 1);
+            counted[i] = !reading.outlier; // fenced readings abstain
         }
-        return true;
-    };
-
-    while (!settled()) {
-        const auto readings = replayTimedReadings(seq);
-        ++replays;
-        for (size_t i = 0; i < seq.size(); ++i) {
-            if (readings[i].outlier)
-                continue; // fenced reading: abstain at this position
-            ++counted[i];
-            ++votes[i][std::min(readings[i].level, depth - 1)];
-        }
+        vote.addClassReplay(levels, counted);
     }
 
     ObservedLevels out;
     out.levels.resize(seq.size());
     out.confidence.resize(seq.size());
     out.determined.resize(seq.size());
-    out.replays = replays;
+    const std::vector<VoteOutcome> outcomes = vote.outcomes();
     for (size_t i = 0; i < seq.size(); ++i) {
-        const auto [best, second] = topTwo(i);
-        out.levels[i] = best;
-        out.confidence[i] =
-            counted[i] > 0 ? static_cast<double>(votes[i][best]) /
-                                 static_cast<double>(counted[i])
-                           : 0.0;
-        out.determined[i] =
-            counted[i] > 0 &&
-            (votes[i][best] - second >= vc.settleMargin ||
-             (out.confidence[i] >= vc.minConfidence &&
-              votes[i][best] > second));
+        out.levels[i] = outcomes[i].winner;
+        out.confidence[i] = outcomes[i].confidence;
+        out.determined[i] = outcomes[i].determined();
     }
+    out.replays = vote.replays();
     return out;
 }
 
@@ -321,21 +187,25 @@ SetProber::thrash(unsigned count)
 void
 SetProber::run(const std::vector<BlockId>& seq)
 {
-    checkpoint();
-    ctx_.beginExperiment();
-    ctx_.flush();
+    beginReplay();
     for (BlockId b : seq) {
         evictInnerLevels();
         ctx_.access(blockAddr(b));
     }
 }
 
-std::vector<bool>
-SetProber::replayObserved(const std::vector<BlockId>& seq)
+void
+SetProber::beginReplay()
 {
     checkpoint();
     ctx_.beginExperiment();
     ctx_.flush();
+}
+
+std::vector<bool>
+SetProber::replayObserved(const std::vector<BlockId>& seq)
+{
+    beginReplay();
     std::vector<bool> outcome;
     outcome.reserve(seq.size());
     for (BlockId b : seq)
@@ -343,43 +213,14 @@ SetProber::replayObserved(const std::vector<BlockId>& seq)
     return outcome;
 }
 
-std::vector<unsigned>
-SetProber::replayTimed(const std::vector<BlockId>& seq)
-{
-    checkpoint();
-    ctx_.beginExperiment();
-    ctx_.flush();
-    std::vector<unsigned> levels;
-    levels.reserve(seq.size());
-    for (BlockId b : seq) {
-        evictInnerLevels();
-        levels.push_back(ctx_.timedLevel(blockAddr(b)));
-    }
-    return levels;
-}
-
-std::vector<MeasurementContext::TimedReading>
-SetProber::replayTimedReadings(const std::vector<BlockId>& seq)
-{
-    checkpoint();
-    ctx_.beginExperiment();
-    ctx_.flush();
-    std::vector<MeasurementContext::TimedReading> readings;
-    readings.reserve(seq.size());
-    for (BlockId b : seq) {
-        evictInnerLevels();
-        readings.push_back(ctx_.timedReading(blockAddr(b)));
-    }
-    return readings;
-}
-
 void
 SetProber::evictInnerLevels()
 {
+    // Conflict lines per inner level: this many times its ways.
+    constexpr unsigned kEvictorFactor = 2;
     for (unsigned u = 0; u < targetLevel_; ++u) {
         EvictorPool& pool = pools_[u];
-        const unsigned needed =
-            cfg_.evictorFactor * geom_.levels[u].ways;
+        const unsigned needed = kEvictorFactor * geom_.levels[u].ways;
         for (unsigned i = 0; i < needed; ++i) {
             ctx_.access(pool.lines[pool.cursor]);
             pool.cursor = (pool.cursor + 1) % pool.lines.size();

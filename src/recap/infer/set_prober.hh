@@ -53,16 +53,16 @@ struct SetProberConfig
     /** Anchor address; the probed set is this address's set. */
     cache::Addr baseAddr = uint64_t{1} << 32;
 
-    /** Conflict lines per inner level = factor * inner ways. */
-    unsigned evictorFactor = 2;
-
-    /** Majority-voting repetitions for noisy machines (legacy). */
+    /**
+     * Fixed-N majority: each reading votes over voteRepeats replays
+     * (0 reads as 1, even counts round up to odd) — the
+     * fixedSchedule() of the sequential test.
+     */
     unsigned voteRepeats = 1;
 
     /**
-     * Confidence-driven sequential voting; when enabled it replaces
-     * the fixed voteRepeats majority everywhere in this prober and
-     * every observation gains a confidence and may abstain
+     * The sequential test's own schedule; when enabled it replaces
+     * the fixed voteRepeats schedule and observations may abstain
      * (undetermined) instead of guessing.
      */
     AdaptiveVoteConfig vote;
@@ -94,16 +94,15 @@ class SetProber
 
     /**
      * Replays flush + @p seq, then reports whether @p probe is still
-     * resident in the probed set (majority-voted).
+     * resident in the probed set: survivesVote()'s value().
      */
     bool survives(const std::vector<BlockId>& seq, BlockId probe);
 
     /**
      * Like survives(), but reports the full vote outcome: verdict
      * (which may be kUndetermined under cfg.vote), confidence, and
-     * the experiment repetitions consumed. With cfg.vote disabled the
-     * legacy fixed-N majority runs and the verdict is always
-     * determined.
+     * the experiment repetitions consumed. Under the fixed schedule
+     * the verdict is always determined.
      */
     VoteOutcome survivesVote(const std::vector<BlockId>& seq,
                              BlockId probe);
@@ -128,30 +127,33 @@ class SetProber
 
     /**
      * Replays flush + @p seq and reports the hit/miss outcome of
-     * every access (majority-voted per position).
+     * every access: observeRobust()'s hits.
      */
     std::vector<bool> observe(const std::vector<BlockId>& seq);
 
     /**
-     * observe() with per-position confidence: under cfg.vote replays
-     * the sequence only until every position settles (escalating on
-     * contradiction); otherwise runs the legacy fixed-N schedule.
+     * observe() with per-position confidence: replays the sequence
+     * until every position settles under the prober's schedule
+     * (escalating on contradiction under cfg.vote). An undetermined
+     * position reads as a miss.
      */
     ObservedSequence observeRobust(const std::vector<BlockId>& seq);
 
     /**
      * Replays flush + @p seq timing every access instead of reading
-     * counters, and reports the level each access was served from
-     * (majority-voted per position; ties resolve to the innermost
-     * level). An access served at the target level or any inner one
-     * is a hit on the probed set; depth() means memory.
+     * counters, and reports the level each access was served from:
+     * observeLevelsRobust()'s levels. An access served at the target
+     * level or any inner one is a hit on the probed set; depth()
+     * means memory.
      */
     std::vector<unsigned> observeLevels(const std::vector<BlockId>& seq);
 
     /**
-     * observeLevels() with per-position confidence. Readings above
-     * the context's calibrated latency fence abstain instead of
-     * voting, so TLB/interrupt outliers cannot flip a level verdict.
+     * observeLevels() with per-position confidence. Each position
+     * votes one class per level (ties resolve to the innermost
+     * level); readings above the context's calibrated latency fence
+     * abstain instead of voting, so TLB/interrupt outliers cannot
+     * flip a level verdict.
      */
     ObservedLevels observeLevelsRobust(const std::vector<BlockId>& seq);
 
@@ -195,15 +197,11 @@ class SetProber
             checkpoint_();
     }
 
+    /** Starts one experiment replay from a flushed machine. */
+    void beginReplay();
+
     /** One un-voted replay of flush + seq with per-access outcomes. */
     std::vector<bool> replayObserved(const std::vector<BlockId>& seq);
-
-    /** One un-voted timed replay with per-access serving levels. */
-    std::vector<unsigned> replayTimed(const std::vector<BlockId>& seq);
-
-    /** One un-voted timed replay keeping raw readings. */
-    std::vector<MeasurementContext::TimedReading>
-    replayTimedReadings(const std::vector<BlockId>& seq);
 
     /** Evicts the probed blocks' lines from every inner level. */
     void evictInnerLevels();
@@ -218,6 +216,10 @@ class SetProber
     DiscoveredGeometry geom_;
     unsigned targetLevel_;
     SetProberConfig cfg_;
+
+    /** cfg_.vote when enabled, else fixedSchedule(cfg_.voteRepeats). */
+    AdaptiveVoteConfig schedule_;
+
     std::function<void()> checkpoint_;
 
     /** One persistent conflict-line pool per inner level. */

@@ -264,39 +264,27 @@ MachineOracle::observeSegment(const std::vector<BlockId>& blocks)
 
     std::vector<PositionOutcome> outcomes(blocks.size());
     const unsigned target = prober_->targetLevel();
+    // Fixed-N votes leave the default confidence and determined flag
+    // on each outcome; only the sequential test reports its own.
     const bool robust = prober_->config().vote.enabled;
     if (mode_ == ObservationMode::kCounter) {
-        if (robust) {
-            const auto obs = prober_->observeRobust(blocks);
-            for (std::size_t i = 0; i < blocks.size(); ++i) {
-                outcomes[i].hit = obs.hits[i];
-                outcomes[i].level =
-                    obs.hits[i] ? target : ctx.depth();
+        const auto obs = prober_->observeRobust(blocks);
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            outcomes[i].hit = obs.hits[i];
+            outcomes[i].level = obs.hits[i] ? target : ctx.depth();
+            if (robust) {
                 outcomes[i].confidence = obs.confidence[i];
                 outcomes[i].determined = obs.determined[i];
-            }
-        } else {
-            const std::vector<bool> hits = prober_->observe(blocks);
-            for (std::size_t i = 0; i < blocks.size(); ++i) {
-                outcomes[i].hit = hits[i];
-                outcomes[i].level = hits[i] ? target : ctx.depth();
             }
         }
     } else {
-        if (robust) {
-            const auto obs = prober_->observeLevelsRobust(blocks);
-            for (std::size_t i = 0; i < blocks.size(); ++i) {
-                outcomes[i].level = obs.levels[i];
-                outcomes[i].hit = obs.levels[i] <= target;
+        const auto obs = prober_->observeLevelsRobust(blocks);
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            outcomes[i].level = obs.levels[i];
+            outcomes[i].hit = obs.levels[i] <= target;
+            if (robust) {
                 outcomes[i].confidence = obs.confidence[i];
                 outcomes[i].determined = obs.determined[i];
-            }
-        } else {
-            const std::vector<unsigned> levels =
-                prober_->observeLevels(blocks);
-            for (std::size_t i = 0; i < blocks.size(); ++i) {
-                outcomes[i].level = levels[i];
-                outcomes[i].hit = levels[i] <= target;
             }
         }
     }

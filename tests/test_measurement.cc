@@ -22,8 +22,8 @@ TEST(Measurement, TimedLevelClassifies)
     hw::Machine machine(hw::catalogMachine("core2-e6300"));
     MeasurementContext ctx(machine);
     EXPECT_EQ(ctx.depth(), 2u);
-    EXPECT_EQ(ctx.timedLevel(0), 2u); // cold: memory
-    EXPECT_EQ(ctx.timedLevel(0), 0u); // hot: L1
+    EXPECT_EQ(ctx.timedReading(0).level, 2u); // cold: memory
+    EXPECT_EQ(ctx.timedReading(0).level, 0u); // hot: L1
 }
 
 TEST(Measurement, CountedHitDelta)
