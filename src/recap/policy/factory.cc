@@ -1,8 +1,7 @@
 #include "recap/policy/factory.hh"
 
-#include <charconv>
-
 #include "recap/common/bitops.hh"
+#include "recap/common/cli.hh"
 #include "recap/common/error.hh"
 #include "recap/policy/dip.hh"
 #include "recap/policy/drrip.hh"
@@ -40,13 +39,7 @@ splitSpec(const std::string& spec)
 unsigned
 parseUnsigned(const std::string& text, const std::string& what)
 {
-    unsigned value = 0;
-    const auto [ptr, ec] = std::from_chars(text.data(),
-                                           text.data() + text.size(),
-                                           value);
-    require(ec == std::errc() && ptr == text.data() + text.size(),
-            "makePolicy: bad " + what + " '" + text + "'");
-    return value;
+    return parseCount<unsigned>(text, "makePolicy: " + what);
 }
 
 /** Splits "a,b" into two strings; second may be missing. */

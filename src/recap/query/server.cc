@@ -7,8 +7,11 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "recap/common/cli.hh"
 #include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
 #include "recap/hw/catalog.hh"
@@ -397,23 +400,22 @@ struct MachineShard
     {}
 };
 
-/** Parses "A[:B[:C...]]" into its numeric fields. */
-std::vector<uint64_t>
-parseColonSpec(const std::string& s)
+/** Splits "A[:B[:C...]]" into its fields. */
+std::vector<std::string>
+splitColons(const std::string& s)
 {
-    std::vector<uint64_t> vals;
+    std::vector<std::string> fields;
     std::size_t start = 0;
     for (;;) {
         const std::size_t colon = s.find(':', start);
-        vals.push_back(std::stoull(
-            s.substr(start, colon == std::string::npos
-                                ? std::string::npos
-                                : colon - start)));
+        fields.push_back(s.substr(start, colon == std::string::npos
+                                             ? std::string::npos
+                                             : colon - start));
         if (colon == std::string::npos)
             break;
         start = colon + 1;
     }
-    return vals;
+    return fields;
 }
 
 } // namespace
@@ -463,74 +465,80 @@ querydMain(int argc, const char* const* argv, std::istream& in,
                         "missing value for " + arg);
                 return argv[++i];
             };
+            // Checked: "-1" must not wrap and "8x" must not read 8.
+            const auto count = [&](auto& dst) {
+                using T = std::remove_reference_t<decltype(dst)>;
+                dst = parseCount<T>(value(), arg);
+            };
             if (arg == "--policy")
                 policySpec = value();
             else if (arg == "--machine")
                 machineName = value();
             else if (arg == "--ways")
-                ways = static_cast<unsigned>(std::stoul(value()));
+                count(ways);
             else if (arg == "--level")
-                level = static_cast<unsigned>(std::stoul(value()));
+                count(level);
             else if (arg == "--votes")
-                votes = static_cast<unsigned>(std::stoul(value()));
+                count(votes);
             else if (arg == "--max-sets")
-                maxSets = static_cast<unsigned>(std::stoul(value()));
+                count(maxSets);
             else if (arg == "--seed")
-                seed = std::stoull(value());
+                count(seed);
             else if (arg == "--noise")
                 noiseP = std::stod(value());
             else if (arg == "--hostile")
                 hostileX = std::stod(value());
             else if (arg == "--threads")
-                opts.batch.numThreads =
-                    static_cast<unsigned>(std::stoul(value()));
+                count(opts.batch.numThreads);
             else if (arg == "--naive")
                 opts.batch.prefixSharing = false;
             else if (arg == "--adaptive")
                 adaptiveVote = true;
             else if (arg == "--timeout-ms")
-                opts.limits.timeoutMillis = std::stoull(value());
+                count(opts.limits.timeoutMillis);
             else if (arg == "--max-line-bytes")
-                opts.limits.maxLineBytes = std::stoull(value());
+                count(opts.limits.maxLineBytes);
             else if (arg == "--max-queries")
-                opts.limits.maxQueriesPerLine = std::stoull(value());
+                count(opts.limits.maxQueriesPerLine);
             else if (arg == "--max-steps")
-                opts.limits.maxStepsPerQuery = std::stoull(value());
+                count(opts.limits.maxStepsPerQuery);
             else if (arg == "--max-accesses")
-                opts.limits.maxAccessesPerRequest =
-                    std::stoull(value());
+                count(opts.limits.maxAccessesPerRequest);
             else if (arg == "--shards")
-                shards = static_cast<unsigned>(std::stoul(value()));
+                count(shards);
             else if (arg == "--sessions")
-                scfg.maxSessions = std::stoull(value());
+                count(scfg.maxSessions);
             else if (arg == "--max-queue")
-                scfg.maxQueue = std::stoull(value());
+                count(scfg.maxQueue);
             else if (arg == "--max-concurrent")
-                scfg.maxConcurrent =
-                    static_cast<unsigned>(std::stoul(value()));
+                count(scfg.maxConcurrent);
             else if (arg == "--retry") {
-                const auto vals = parseColonSpec(value());
-                require(!vals.empty() && vals.size() <= 3,
+                const auto vals = splitColons(value());
+                require(vals.size() <= 3,
                         "--retry wants A[:BASE[:MAX]]");
                 scfg.retry.maxAttempts =
-                    static_cast<unsigned>(vals[0]);
+                    parseCount<unsigned>(vals[0], arg);
                 if (vals.size() > 1)
-                    scfg.retry.baseDelayMillis = vals[1];
+                    scfg.retry.baseDelayMillis =
+                        parseCount<uint64_t>(vals[1], arg);
                 if (vals.size() > 2)
-                    scfg.retry.maxDelayMillis = vals[2];
+                    scfg.retry.maxDelayMillis =
+                        parseCount<uint64_t>(vals[2], arg);
             } else if (arg == "--breaker") {
-                const auto vals = parseColonSpec(value());
-                require(!vals.empty() && vals.size() <= 3,
+                const auto vals = splitColons(value());
+                require(vals.size() <= 3,
                         "--breaker wants T[:OPENMS[:HALF]]");
-                scfg.breaker.enabled = vals[0] != 0;
-                if (vals[0] != 0)
-                    scfg.breaker.failureThreshold =
-                        static_cast<unsigned>(vals[0]);
+                const auto threshold =
+                    parseCount<unsigned>(vals[0], arg);
+                scfg.breaker.enabled = threshold != 0;
+                if (threshold != 0)
+                    scfg.breaker.failureThreshold = threshold;
                 if (vals.size() > 1)
-                    scfg.breaker.openMillis = vals[1];
+                    scfg.breaker.openMillis =
+                        parseCount<uint64_t>(vals[1], arg);
                 if (vals.size() > 2)
                     scfg.breaker.halfOpenSuccesses =
-                        static_cast<unsigned>(vals[2]);
+                        parseCount<unsigned>(vals[2], arg);
             } else if (arg == "--mode") {
                 const std::string m = value();
                 require(m == "counter" || m == "latency",

@@ -368,6 +368,58 @@ TEST(QuerydMain, RejectsBadInvocations)
               2);
 }
 
+// Every count flag takes decimal digits that fit its type and
+// nothing else: "-1" must not wrap to the type's maximum (with
+// --threads or --shards that asks for billions of threads or oracles)
+// and "8x" must not read as 8. The input stream is empty, so a
+// wrongly accepted value never serves anything.
+TEST(QuerydCli, RejectsMalformedCounts)
+{
+    const std::vector<std::string> unsignedFlags = {
+        "--ways",    "--level",  "--votes",          "--max-sets",
+        "--threads", "--shards", "--max-concurrent",
+    };
+    const std::vector<std::string> wideFlags = {
+        "--seed",        "--timeout-ms",  "--max-line-bytes",
+        "--max-queries", "--max-steps",   "--max-accesses",
+        "--sessions",    "--max-queue",
+    };
+    const std::vector<std::string> malformed = {
+        "-1", "8x", "", "+3", " 3", "0x10", "1e3", "3.0",
+        "18446744073709551616",
+    };
+    std::string out;
+    std::string err;
+    const auto rejects = [&](const std::string& flag,
+                             const std::string& value) {
+        const int rc =
+            runQueryd({"--policy", "lru", flag, value}, "", out, err);
+        EXPECT_EQ(rc, 2) << flag << " '" << value << "'";
+        EXPECT_TRUE(contains(err, "bad count"))
+            << flag << " '" << value << "': " << err;
+    };
+    for (const auto& flag : unsignedFlags) {
+        for (const auto& value : malformed)
+            rejects(flag, value);
+        rejects(flag, "4294967296"); // one past the unsigned maximum
+    }
+    for (const auto& flag : wideFlags)
+        for (const auto& value : malformed)
+            rejects(flag, value);
+    for (const std::string spec : {"-1", "2:x", "2:-5", "4294967296"})
+        rejects("--retry", spec);
+    for (const std::string spec : {"-1", "4:100:1x", "4:-100"})
+        rejects("--breaker", spec);
+
+    // Well-formed counts still parse.
+    EXPECT_EQ(runQueryd({"--policy", "lru", "--ways", "4", "--threads",
+                         "2", "--seed", "18446744073709551615",
+                         "--retry", "2:1:8"},
+                        "", out, err),
+              0)
+        << err;
+}
+
 // ---------------------------------------------------------------
 // NDJSON session-parser fuzzing: hostile byte streams must always
 // produce structured JSON errors (or structured answers) and must

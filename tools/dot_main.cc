@@ -15,7 +15,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
+#include "recap/common/cli.hh"
 #include "recap/learn/lstar.hh"
 #include "recap/learn/mealy.hh"
 #include "recap/learn/teacher.hh"
@@ -65,12 +67,23 @@ main(int argc, char** argv)
             }
             return argv[++i];
         };
+        // Checked: "-1" must not wrap and "8x" must not read 8.
+        const auto count = [&](auto& dst) {
+            try {
+                dst = parseCount<std::remove_reference_t<decltype(dst)>>(
+                    value(), arg);
+            } catch (const UsageError& e) {
+                std::cerr << "recap-dot: " << e.what() << "\n";
+                usage(std::cerr);
+                std::exit(2);
+            }
+        };
         if (arg == "--policy") {
             policySpec = value();
         } else if (arg == "--ways") {
-            ways = static_cast<unsigned>(std::stoul(value()));
+            count(ways);
         } else if (arg == "--alphabet") {
-            alphabet = static_cast<unsigned>(std::stoul(value()));
+            count(alphabet);
         } else if (arg == "--minimize") {
             minimize = true;
         } else if (arg == "--learn") {

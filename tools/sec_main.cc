@@ -15,7 +15,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
+#include "recap/common/cli.hh"
 #include "recap/policy/factory.hh"
 #include "recap/sec/profile.hh"
 
@@ -105,20 +107,29 @@ main(int argc, char** argv)
             }
             return argv[++i];
         };
+        // Checked: "-1" must not wrap and "8x" must not read 8.
+        const auto count = [&](auto& dst) {
+            try {
+                dst = parseCount<std::remove_reference_t<decltype(dst)>>(
+                    value(), arg);
+            } catch (const UsageError& e) {
+                std::cerr << "recap-sec: " << e.what() << "\n";
+                usage(std::cerr);
+                std::exit(2);
+            }
+        };
         if (arg == "--policy") {
             policySpec = value();
         } else if (arg == "--ways") {
-            ways = static_cast<unsigned>(std::stoul(value()));
+            count(ways);
         } else if (arg == "--analysis") {
             analysis = value();
         } else if (arg == "--max-configs") {
-            budget.maxConfigs = std::stoull(value());
+            count(budget.maxConfigs);
         } else if (arg == "--victim-lines") {
-            observeCfg.victimLines =
-                static_cast<unsigned>(std::stoul(value()));
+            count(observeCfg.victimLines);
         } else if (arg == "--horizon") {
-            observeCfg.horizon =
-                static_cast<unsigned>(std::stoul(value()));
+            count(observeCfg.horizon);
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
