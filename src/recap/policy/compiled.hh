@@ -1,7 +1,9 @@
 /**
  * @file
- * Compiled replacement-policy automata: the interpreter-free fast
- * path of the simulation stack.
+ * Compiled replacement-policy automata: dense transition tables for
+ * the analyses that walk a policy's states — the sec:: game boards,
+ * the predictability sweep's compile-and-wrap and the query oracle's
+ * snapshot walk. Simulation runs on the interpreted cache::Cache.
  *
  * Every policy in the catalog is a deterministic finite automaton
  * (that is the paper's whole premise), yet the interpreted
