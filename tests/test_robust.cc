@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "recap/common/error.hh"
 #include "recap/common/rng.hh"
 #include "recap/infer/robust.hh"
 
@@ -208,6 +210,67 @@ TEST(SequenceVote, AbstentionsDoNotCountTowardTheQuorum)
     EXPECT_EQ(outcomes[0].verdict, Verdict::kYes);
     EXPECT_EQ(outcomes[1].verdict, Verdict::kUndetermined);
     EXPECT_EQ(outcomes[1].samples, 0u);
+}
+
+// Timed probing votes one class per level: the top class wins, a
+// tie goes to the lower (innermost) class, and abstentions do not
+// count.
+TEST(SequenceVote, CountsClassesWithTiesToTheLowerClass)
+{
+    AdaptiveVoteConfig cfg;
+    cfg.initialRepeats = 4;
+    cfg.maxRepeats = 4;
+    cfg.settleMargin = 3;
+    cfg.minConfidence = 0.65;
+    SequenceVote vote(cfg, 3, 3);
+    vote.addClassReplay({2, 1, 1}, {});
+    vote.addClassReplay({2, 2, 1}, {});
+    vote.addClassReplay({2, 1, 0}, {true, true, false});
+    vote.addClassReplay({2, 2, 1}, {});
+    EXPECT_TRUE(vote.done());
+    const auto outcomes = vote.outcomes();
+    EXPECT_EQ(outcomes[0].winner, 2u);
+    EXPECT_TRUE(outcomes[0].determined());
+    EXPECT_DOUBLE_EQ(outcomes[0].confidence, 1.0);
+    EXPECT_EQ(outcomes[1].winner, 1u); // 2-2 tie between 1 and 2
+    EXPECT_FALSE(outcomes[1].determined());
+    EXPECT_DOUBLE_EQ(outcomes[1].confidence, 0.5);
+    EXPECT_EQ(outcomes[2].winner, 1u);
+    EXPECT_EQ(outcomes[2].samples, 3u);
+    EXPECT_TRUE(outcomes[2].determined());
+    EXPECT_THROW(vote.addClassReplay({3, 0, 0}, {}), UsageError);
+}
+
+// Fixed-N majority is a schedule of the same test: N rounded up to
+// odd repetitions (0 reads as 1), no early exit even on a unanimous
+// stream, and every vote decided.
+TEST(FixedSchedule, RunsExactlyNOddRepetitionsAndAlwaysDecides)
+{
+    const std::pair<unsigned, unsigned> expected[] = {
+        {0, 1}, {1, 1}, {2, 3}, {3, 3}, {8, 9}, {9, 9}};
+    for (const auto& [repeats, n] : expected) {
+        const AdaptiveVoteConfig cfg = infer::fixedSchedule(repeats);
+        unsigned calls = 0;
+        const VoteOutcome unanimous =
+            adaptiveVote(cfg, [&] { ++calls; return true; });
+        EXPECT_EQ(calls, n) << repeats;
+        EXPECT_EQ(unanimous.samples, n) << repeats;
+        EXPECT_EQ(unanimous.verdict, Verdict::kYes) << repeats;
+    }
+    // One dissent in three: still decided, at two-thirds confidence.
+    const VoteOutcome split = adaptiveVote(
+        infer::fixedSchedule(3), scripted({true, false, false}));
+    EXPECT_EQ(split.verdict, Verdict::kNo);
+    EXPECT_DOUBLE_EQ(split.confidence, 2.0 / 3.0);
+
+    SequenceVote seq(infer::fixedSchedule(2), 2);
+    while (!seq.done())
+        seq.addReplay({true, seq.replays() == 0});
+    EXPECT_EQ(seq.replays(), 3u);
+    const auto outcomes = seq.outcomes();
+    EXPECT_EQ(outcomes[0].verdict, Verdict::kYes);
+    EXPECT_EQ(outcomes[1].verdict, Verdict::kNo);
+    EXPECT_TRUE(outcomes[1].determined());
 }
 
 TEST(RobustStats, MedianAndMadOfCleanSamples)
