@@ -152,6 +152,8 @@ TEST(ModernPipeline, HiddenDipIsLearnedNeverMisclassified)
     EXPECT_TRUE(level.learned);
     EXPECT_EQ(level.outcome, infer::LevelOutcome::kDecided);
     EXPECT_EQ(level.learnedStates, 178u); // pinned
+    EXPECT_EQ(level.learnerQueries, 189723u); // pinned
+    EXPECT_EQ(level.loadsUsed, 725481u);      // pinned
     EXPECT_NE(level.verdict.find("learned automaton"),
               std::string::npos)
         << level.verdict;

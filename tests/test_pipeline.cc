@@ -162,7 +162,8 @@ TEST(Pipeline, OutOfFamilyPolicyEscalatesToLearner)
               std::string::npos)
         << lvl.verdict;
     EXPECT_EQ(lvl.learnedStates, 28u);
-    EXPECT_GT(lvl.learnerQueries, 0u);
+    EXPECT_EQ(lvl.learnerQueries, 11894u);
+    EXPECT_EQ(lvl.loadsUsed, 39681u);
     EXPECT_GT(lvl.learnedEqConfidence, 0.99);
     EXPECT_DOUBLE_EQ(lvl.agreement, 1.0);
 }
