@@ -1,13 +1,46 @@
-#include "recap/query/batch.hh"
+/**
+ * @file
+ * The flat batch entry of both backends: PolicyOracle::runFlat() and
+ * MachineOracle::runFlat(), with and without prefix sharing.
+ *
+ * Without sharing every sequence replays on its own: a fresh SetModel
+ * per sequence on the policy backend, one machine experiment batch
+ * per flush-free segment on the machine backend. That is the naive
+ * reference the sharing paths are diffed and costed against.
+ *
+ * A batch of structurally similar sequences (the shape every
+ * reverse-engineering technique produces: "replay this prefix, then
+ * probe") repeats enormous amounts of work when each one re-executes
+ * from scratch. Both backends share that work through one trie over
+ * access prefixes (dense node ids, first-child/next-sibling links,
+ * one step-to-node array); what "sharing" means differs per backend,
+ * because the backends have different physics:
+ *
+ *  - Snapshot sharing (PolicyOracle): every sequence is inserted from
+ *    the root, flushes included, and the trie is walked once with a
+ *    live set model; at branch points the automaton state is
+ *    snapshotted and each subtree continues from the snapshot. A
+ *    batch costs one access per DISTINCT prefix instead of one per
+ *    step. Disjoint root subtrees evaluate in parallel on the common
+ *    TaskPool; results are bit-identical for every thread count (and,
+ *    for deterministic policies, to naive per-sequence replay).
+ *
+ *  - Replay sharing (MachineOracle): hardware state cannot be
+ *    snapshotted, and observation is destructive — but one observed
+ *    replay of a segment yields the outcome of EVERY position along
+ *    it. Every flush-free segment is inserted from the root, so
+ *    identical segments end on one node; the unique ones run
+ *    longest-first, and any segment whose nodes an earlier replay
+ *    already observed reads its outcomes from the trie instead of
+ *    re-running the experiment.
+ */
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <unordered_map>
 #include <utility>
 
-#include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
+#include "recap/query/oracle.hh"
 
 namespace recap::query
 {
@@ -67,7 +100,7 @@ class FastSetModel
 };
 
 /**
- * One node of the snapshot trie: a distinct step prefix, keyed by its
+ * One node of the prefix trie: a distinct step prefix, keyed by its
  * last step. Node 0 is the empty prefix (the flushed set); it is
  * nobody's child, so 0 also marks an absent link.
  */
@@ -80,6 +113,74 @@ struct TrieNode
 };
 
 constexpr uint32_t kNoNode = 0;
+
+/**
+ * The child of @p parent keyed by (@p flush, @p block), appended to
+ * @p trie when absent.
+ */
+uint32_t
+childOf(std::vector<TrieNode>& trie, uint32_t parent, bool flush,
+        BlockId block)
+{
+    uint32_t last = kNoNode;
+    uint32_t node = trie[parent].firstChild;
+    while (node != kNoNode &&
+           (trie[node].flush != flush || trie[node].block != block)) {
+        last = node;
+        node = trie[node].nextSibling;
+    }
+    if (node == kNoNode) {
+        node = static_cast<uint32_t>(trie.size());
+        trie.push_back({block, kNoNode, kNoNode, flush});
+        (last == kNoNode ? trie[parent].firstChild
+                         : trie[last].nextSibling) = node;
+    }
+    return node;
+}
+
+bool
+isFlush(std::span<const uint8_t> flushes, std::size_t i)
+{
+    return !flushes.empty() && flushes[i] != 0;
+}
+
+/**
+ * Calls @p fn(w, begin, end) for every maximal flush-free run
+ * [begin, end) of every sequence w, in input order.
+ */
+template <typename Fn>
+void
+forEachSegment(std::span<const uint8_t> flushes,
+               std::span<const uint32_t> ends, Fn&& fn)
+{
+    std::size_t i = 0;
+    for (std::size_t w = 0; w < ends.size(); ++w) {
+        while (i < ends[w]) {
+            if (isFlush(flushes, i)) {
+                ++i;
+                continue;
+            }
+            const std::size_t begin = i;
+            while (i < ends[w] && !isFlush(flushes, i))
+                ++i;
+            fn(w, begin, i);
+        }
+    }
+}
+
+/** Adds the costs of a batch replayed without sharing to @p stats. */
+void
+addUnsharedStats(const FlatAnswers& answers, BatchStats* stats)
+{
+    if (!stats)
+        return;
+    stats->queries += answers.accesses.size();
+    for (std::size_t w = 0; w < answers.accesses.size(); ++w) {
+        stats->naiveCost += answers.accesses[w];
+        stats->sharedCost += answers.accesses[w];
+        stats->experimentsRun += answers.experiments[w];
+    }
+}
 
 /**
  * Walks the subtree of @p root with a live model, snapshotting at
@@ -126,102 +227,119 @@ walkRoot(const std::vector<TrieNode>& trie, uint8_t* hit, uint32_t root,
 
 } // namespace
 
-std::vector<uint8_t>
-batchEvaluateSnapshot(PolicyOracle& oracle,
-                      std::span<const BlockId> blocks,
+FlatAnswers
+PolicyOracle::runFlat(std::span<const BlockId> blocks,
                       std::span<const uint8_t> flushes,
                       std::span<const uint32_t> ends,
-                      const BatchOptions& opts, BatchStats* stats,
-                      std::vector<uint64_t>* accesses)
+                      const BatchOptions& opts, BatchStats* stats)
 {
-    ensure(blocks.size() < UINT32_MAX,
-           "batchEvaluateSnapshot: 2^32 - 1 steps or more");
-    require(flushes.empty() || flushes.size() == blocks.size(),
-            "batchEvaluateSnapshot: one flush flag per step");
-    std::size_t covered = 0;
-    for (const uint32_t end : ends) {
-        require(end >= covered,
-                "batchEvaluateSnapshot: sequence ends fall");
-        covered = end;
+    if (opts.prefixSharing) {
+        checkpoint();
+        return shareSnapshots(blocks, flushes, ends, opts, stats);
     }
-    require(covered == blocks.size(),
-            "batchEvaluateSnapshot: sequence ends must end at the step "
-            "count");
+    FlatAnswers answers{std::vector<PositionOutcome>(blocks.size()),
+                        std::vector<uint64_t>(ends.size(), 1),
+                        std::vector<uint64_t>(ends.size(), 0)};
+    std::size_t i = 0;
+    for (std::size_t w = 0; w < ends.size(); ++w) {
+        checkpoint();
+        policy::SetModel model = freshModel();
+        for (; i < ends[w]; ++i) {
+            if (isFlush(flushes, i)) {
+                model.flush();
+                continue;
+            }
+            const bool hit = model.access(blocks[i]);
+            answers.outcomes[i] = {hit, true, hit ? 0u : 1u, 1.0};
+            ++answers.accesses[w];
+        }
+        ++experiments_;
+        accesses_ += answers.accesses[w];
+    }
+    addUnsharedStats(answers, stats);
+    return answers;
+}
 
-    // The trie can never hold more nodes than the batch has steps,
-    // plus the root, so one reservation serves the whole build.
-    std::vector<TrieNode> trie;
-    trie.reserve(blocks.size() + 1);
-    trie.emplace_back();
-    std::vector<uint32_t> nodeOfStep(blocks.size());
-    if (accesses)
-        accesses->assign(ends.size(), 0);
-
-    const auto isFlush = [&](std::size_t i) {
-        return !flushes.empty() && flushes[i] != 0;
-    };
+FlatAnswers
+PolicyOracle::shareSnapshots(std::span<const BlockId> blocks,
+                             std::span<const uint8_t> flushes,
+                             std::span<const uint32_t> ends,
+                             const BatchOptions& opts, BatchStats* stats)
+{
+    // A sequence pays only for the access nodes it was the first to
+    // need, and counts as one experiment when that is non-zero.
+    FlatAnswers answers;
+    answers.experiments.assign(ends.size(), 0);
+    answers.accesses.assign(ends.size(), 0);
     uint64_t naiveCost = 0;
     uint64_t sharedCost = 0;
     uint64_t experimentsRun = 0;
-    std::size_t i = 0;
-    for (std::size_t w = 0; w < ends.size(); ++w) {
-        // The sequence's marginal cost: the access nodes it inserted.
-        uint64_t owned = 0;
-        uint32_t parent = 0; // the root
-        for (; i < ends[w]; ++i) {
-            const bool flush = isFlush(i);
-            const BlockId block = flush ? 0 : blocks[i];
-            uint32_t last = kNoNode;
-            uint32_t node = trie[parent].firstChild;
-            while (node != kNoNode && (trie[node].flush != flush ||
-                                       trie[node].block != block)) {
-                last = node;
-                node = trie[node].nextSibling;
-            }
-            if (node == kNoNode) {
-                node = static_cast<uint32_t>(trie.size());
-                trie.push_back({block, kNoNode, kNoNode, flush});
-                (last == kNoNode ? trie[parent].firstChild
-                                 : trie[last].nextSibling) = node;
-                owned += flush ? 0 : 1;
-            }
-            nodeOfStep[i] = node;
-            parent = node;
-            naiveCost += flush ? 0 : 1;
-        }
-        sharedCost += owned;
-        experimentsRun += owned > 0 ? 1 : 0;
-        if (accesses)
-            (*accesses)[w] = owned;
-    }
-
-    // Walk each root subtree with a live model. Subtrees are disjoint
-    // (each node's outcome is written once, by its own subtree), so
-    // they run in parallel; outcomes depend only on the path, never
-    // on scheduling. When the policy compiles, the model is a
-    // plain-data FastSetModel and the branch-point snapshots are
-    // memcpys instead of policy clones.
-    std::vector<uint32_t> roots;
-    for (uint32_t r = trie[0].firstChild; r != kNoNode;
-         r = trie[r].nextSibling)
-        roots.push_back(r);
-    std::vector<uint8_t> hit(trie.size(), 0);
-    const policy::CompiledTablePtr table = oracle.compiledTable();
-    if (table && table->ways() <= kFastWays) {
-        parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
-            walkRoot(trie, hit.data(), roots[r], FastSetModel(*table));
-        });
-    } else {
-        parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
-            walkRoot(trie, hit.data(), roots[r], oracle.freshModel());
-        });
-    }
-
+    // Per step, 1 for an access that hit. The trie and its per-node
+    // arrays are freed before the outcomes are laid out, so no two
+    // per-step arrays wider than this one are ever alive together.
     std::vector<uint8_t> hits(blocks.size());
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-        hits[i] = hit[nodeOfStep[i]];
+    {
+        // The trie can never hold more nodes than the batch has
+        // steps, plus the root, so one reservation serves the whole
+        // build.
+        std::vector<TrieNode> trie;
+        trie.reserve(blocks.size() + 1);
+        trie.emplace_back();
+        std::vector<uint32_t> nodeOfStep(blocks.size());
+        std::size_t i = 0;
+        for (std::size_t w = 0; w < ends.size(); ++w) {
+            uint64_t owned = 0;
+            uint32_t node = 0; // the root
+            for (; i < ends[w]; ++i) {
+                const bool flush = isFlush(flushes, i);
+                const std::size_t before = trie.size();
+                node = childOf(trie, node, flush, flush ? 0 : blocks[i]);
+                if (!flush) {
+                    owned += trie.size() - before;
+                    ++naiveCost;
+                }
+                nodeOfStep[i] = node;
+            }
+            sharedCost += owned;
+            experimentsRun += owned > 0 ? 1 : 0;
+            answers.accesses[w] = owned;
+            answers.experiments[w] = owned > 0 ? 1 : 0;
+        }
 
-    oracle.account(experimentsRun, sharedCost);
+        // Walk each root subtree with a live model. Subtrees are
+        // disjoint (each node's outcome is written once, by its own
+        // subtree), so they run in parallel; outcomes depend only on
+        // the path, never on scheduling. When the policy compiles,
+        // the model is a plain-data FastSetModel and the branch-point
+        // snapshots are memcpys instead of policy clones.
+        std::vector<uint32_t> roots;
+        for (uint32_t r = trie[0].firstChild; r != kNoNode;
+             r = trie[r].nextSibling)
+            roots.push_back(r);
+        std::vector<uint8_t> hit(trie.size(), 0);
+        const policy::CompiledTablePtr table = compiledTable();
+        if (table && table->ways() <= kFastWays) {
+            parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
+                walkRoot(trie, hit.data(), roots[r], FastSetModel(*table));
+            });
+        } else {
+            parallelFor(roots.size(), opts.numThreads, [&](std::size_t r) {
+                walkRoot(trie, hit.data(), roots[r], freshModel());
+            });
+        }
+        for (std::size_t s = 0; s < blocks.size(); ++s)
+            hits[s] = hit[nodeOfStep[s]];
+    }
+
+    answers.outcomes.resize(blocks.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        if (!isFlush(flushes, i))
+            answers.outcomes[i] = {hits[i] != 0, true, hits[i] != 0 ? 0u : 1u,
+                                   1.0};
+    }
+
+    experiments_ += experimentsRun;
+    accesses_ += sharedCost;
     if (stats) {
         stats->queries += ends.size();
         stats->naiveCost += naiveCost;
@@ -230,252 +348,161 @@ batchEvaluateSnapshot(PolicyOracle& oracle,
         stats->experimentsSaved += ends.size() - experimentsRun;
         stats->prefixReuses += naiveCost - sharedCost;
     }
-    return hits;
+    return answers;
 }
 
-std::vector<QueryVerdict>
-batchEvaluateSnapshot(PolicyOracle& oracle,
-                      const std::vector<CompiledQuery>& queries,
-                      const BatchOptions& opts, BatchStats* stats)
+FlatAnswers
+MachineOracle::runFlat(std::span<const BlockId> blocks,
+                       std::span<const uint8_t> flushes,
+                       std::span<const uint32_t> ends,
+                       const BatchOptions& opts, BatchStats* stats)
 {
-    std::vector<BlockId> blocks;
-    std::vector<uint8_t> flushes;
-    std::vector<uint32_t> ends;
-    std::size_t steps = 0;
-    for (const CompiledQuery& q : queries)
-        steps += q.steps.size();
-    blocks.reserve(steps);
-    flushes.reserve(steps);
-    ends.reserve(queries.size());
-    for (const CompiledQuery& q : queries) {
-        for (const Step& step : q.steps) {
-            blocks.push_back(step.block);
-            flushes.push_back(step.flush ? 1 : 0);
-        }
-        ends.push_back(static_cast<uint32_t>(blocks.size()));
-    }
-    std::vector<uint64_t> accesses;
-    const std::vector<uint8_t> hits = batchEvaluateSnapshot(
-        oracle, blocks, flushes, ends, opts, stats, &accesses);
-
-    std::vector<QueryVerdict> verdicts(queries.size());
-    std::size_t begin = 0;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        QueryVerdict& verdict = verdicts[q];
-        verdict.accesses = accesses[q];
-        verdict.experiments = accesses[q] > 0 ? 1 : 0;
-        verdict.probes.reserve(queries[q].probeCount());
-        for (uint32_t i = 0; i < queries[q].steps.size(); ++i) {
-            const Step& step = queries[q].steps[i];
-            if (step.flush || !step.probe)
-                continue;
-            const bool hit = hits[begin + i] != 0;
-            verdict.probes.push_back(
-                {i, step.block, hit, hit ? 0u : 1u});
-        }
-        begin = ends[q];
-    }
-    return verdicts;
+    // The machine is one stateful device: always serial.
+    if (opts.prefixSharing)
+        return shareReplays(blocks, flushes, ends, stats);
+    FlatAnswers answers{std::vector<PositionOutcome>(blocks.size()),
+                        std::vector<uint64_t>(ends.size(), 0),
+                        std::vector<uint64_t>(ends.size(), 0)};
+    forEachSegment(flushes, ends, [&](std::size_t w, std::size_t begin,
+                                      std::size_t end) {
+        const uint64_t experimentsBefore = experiments_;
+        const uint64_t accessesBefore = accesses_;
+        const auto outcomes =
+            observeSegment(blocks.subspan(begin, end - begin));
+        std::copy(outcomes.begin(), outcomes.end(),
+                  answers.outcomes.begin() + begin);
+        answers.experiments[w] += experiments_ - experimentsBefore;
+        answers.accesses[w] += accesses_ - accessesBefore;
+    });
+    addUnsharedStats(answers, stats);
+    return answers;
 }
 
-namespace
+FlatAnswers
+MachineOracle::shareReplays(std::span<const BlockId> blocks,
+                            std::span<const uint8_t> flushes,
+                            std::span<const uint32_t> ends,
+                            BatchStats* stats)
 {
-
-/** One node of the machine-side observed-outcome trie. */
-struct ObsNode
-{
-    std::unordered_map<BlockId, uint32_t> children;
-    bool known = false;
-    bool hit = false;
-    unsigned level = 0;
-    double confidence = 1.0;
-    bool determined = true;
-};
-
-} // namespace
-
-std::vector<QueryVerdict>
-batchEvaluateReplay(MachineOracle& oracle,
-                    const std::vector<CompiledQuery>& queries,
-                    const BatchOptions& opts, BatchStats* stats)
-{
-    (void)opts; // the machine is one stateful device: always serial
-
-    // Unique segments across the whole batch, and each query's
-    // segment-instance list.
-    std::map<std::vector<BlockId>, uint32_t> segId;
-    std::vector<std::vector<BlockId>> segBlocks;
-    std::vector<uint32_t> segFirstQuery;
-    struct Instance
+    // Insert every segment from the root, in input order. Identical
+    // segments end on the same node, which names the unique segment;
+    // unique segments are numbered in order of first appearance.
+    struct Unique
     {
-        uint32_t seg;
-        std::vector<uint32_t> stepIndex;
+        std::size_t begin;  ///< first instance's first step
+        std::size_t length;
+        std::size_t firstSequence;
+        bool observed = false;
+        uint64_t experiments = 0;
+        uint64_t accesses = 0;
     };
-    std::vector<std::vector<Instance>> instances(queries.size());
-
-    // Upper bounds known before the split: a query yields at most
-    // (flush count + 1) segments, and the outcome trie at most one
-    // node per non-flush step (plus the root).
-    std::size_t segmentBound = 0;
-    std::size_t accessBound = 0;
-    for (const CompiledQuery& q : queries) {
-        std::size_t flushes = 0;
-        for (const Step& step : q.steps)
-            flushes += step.flush ? 1 : 0;
-        segmentBound += flushes + 1;
-        accessBound += q.steps.size() - flushes;
-    }
-    segBlocks.reserve(segmentBound);
-    segFirstQuery.reserve(segmentBound);
-
-    for (uint32_t q = 0; q < queries.size(); ++q) {
-        auto segments = splitSegments(queries[q]);
-        instances[q].reserve(segments.size());
-        for (Segment& segment : segments) {
-            auto [it, inserted] = segId.try_emplace(
-                segment.blocks,
-                static_cast<uint32_t>(segBlocks.size()));
-            if (inserted) {
-                segBlocks.push_back(segment.blocks);
-                segFirstQuery.push_back(q);
-            }
-            instances[q].push_back(
-                {it->second, std::move(segment.stepIndex)});
+    std::vector<Unique> unique;
+    constexpr uint32_t kNone = UINT32_MAX;
+    std::vector<TrieNode> trie;
+    trie.reserve(blocks.size() + 1);
+    trie.emplace_back();
+    std::vector<uint32_t> uniqueAt; // per node: the segment ending there
+    std::vector<uint32_t> nodeOfStep(blocks.size(), 0);
+    forEachSegment(flushes, ends, [&](std::size_t w, std::size_t begin,
+                                      std::size_t end) {
+        uint32_t node = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            node = childOf(trie, node, false, blocks[i]);
+            nodeOfStep[i] = node;
         }
-    }
+        uniqueAt.resize(trie.size(), kNone);
+        if (uniqueAt[node] == kNone) {
+            uniqueAt[node] = static_cast<uint32_t>(unique.size());
+            unique.push_back({begin, end - begin, w});
+        }
+    });
+    const auto segment = [&](const Unique& u) {
+        return blocks.subspan(u.begin, u.length);
+    };
 
     // Longest segments first, so shorter ones find their outcomes
     // already on the trie; ties break lexicographically for a
     // deterministic experiment order.
-    std::vector<uint32_t> order(segBlocks.size());
-    for (uint32_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](uint32_t a, uint32_t b) {
-                  if (segBlocks[a].size() != segBlocks[b].size())
-                      return segBlocks[a].size() > segBlocks[b].size();
-                  return segBlocks[a] < segBlocks[b];
-              });
+    std::vector<uint32_t> order(unique.size());
+    for (uint32_t u = 0; u < order.size(); ++u)
+        order[u] = u;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        if (unique[a].length != unique[b].length)
+            return unique[a].length > unique[b].length;
+        const auto sa = segment(unique[a]);
+        const auto sb = segment(unique[b]);
+        return std::lexicographical_compare(sa.begin(), sa.end(),
+                                            sb.begin(), sb.end());
+    });
 
-    std::vector<ObsNode> trie; // node 0 = root (flushed state)
-    trie.reserve(accessBound + 1);
-    trie.emplace_back();
-    // Per unique segment: its outcome nodes and its marginal cost.
-    std::vector<std::vector<uint32_t>> segPath(segBlocks.size());
-    std::vector<uint64_t> segExperiments(segBlocks.size(), 0);
-    std::vector<uint64_t> segAccesses(segBlocks.size(), 0);
-    std::vector<bool> segObserved(segBlocks.size(), false);
+    // The first observation of a node is the one it keeps.
+    std::vector<PositionOutcome> seen(trie.size());
+    std::vector<uint8_t> known(trie.size(), 0);
+    for (const uint32_t u : order) {
+        Unique& seg = unique[u];
+        const uint32_t* path = nodeOfStep.data() + seg.begin;
+        if (std::all_of(path, path + seg.length,
+                        [&](uint32_t n) { return known[n] != 0; })) {
+            if (stats)
+                stats->prefixReuses += seg.length;
+            continue;
+        }
+        const uint64_t experimentsBefore = experiments_;
+        const uint64_t accessesBefore = accesses_;
+        const auto outcomes = observeSegment(segment(seg));
+        seg.observed = true;
+        seg.experiments = experiments_ - experimentsBefore;
+        seg.accesses = accesses_ - accessesBefore;
+        for (std::size_t i = 0; i < seg.length; ++i) {
+            if (!known[path[i]]) {
+                known[path[i]] = 1;
+                seen[path[i]] = outcomes[i];
+            }
+        }
+    }
 
+    // Each instance of a segment costs its first sequence what the
+    // observation cost. The naive estimate charges every instance
+    // that cost too; segments never observed are costed pro rata
+    // from the first observed one (the repeats and per-access routing
+    // overhead are batch-wide constants).
+    const auto ref = std::find_if(unique.begin(), unique.end(),
+                                  [](const Unique& u) { return u.observed; });
+    const uint64_t refAccesses = ref != unique.end() ? ref->accesses : 0;
+    const uint64_t refExperiments =
+        ref != unique.end() ? ref->experiments : 0;
+    const std::size_t refLength = ref != unique.end() ? ref->length : 1;
+    FlatAnswers answers{std::vector<PositionOutcome>(blocks.size()),
+                        std::vector<uint64_t>(ends.size(), 0),
+                        std::vector<uint64_t>(ends.size(), 0)};
     uint64_t estimatedNaiveCost = 0;
     uint64_t estimatedNaiveExperiments = 0;
-
-    for (uint32_t seg : order) {
-        const std::vector<BlockId>& blocks = segBlocks[seg];
-        std::vector<uint32_t>& path = segPath[seg];
-        path.reserve(blocks.size());
-        uint32_t node = 0;
-        bool covered = true;
-        for (BlockId block : blocks) {
-            uint32_t child;
-            const auto it = trie[node].children.find(block);
-            if (it != trie[node].children.end()) {
-                child = it->second;
-            } else {
-                child = static_cast<uint32_t>(trie.size());
-                trie.push_back(ObsNode{});
-                trie[node].children.emplace(block, child);
+    forEachSegment(flushes, ends, [&](std::size_t w, std::size_t begin,
+                                      std::size_t end) {
+        const Unique& seg = unique[uniqueAt[nodeOfStep[end - 1]]];
+        if (seg.observed) {
+            estimatedNaiveCost += seg.accesses;
+            estimatedNaiveExperiments += seg.experiments;
+            if (seg.firstSequence == w) {
+                answers.experiments[w] += seg.experiments;
+                answers.accesses[w] += seg.accesses;
             }
-            node = child;
-            covered = covered && trie[node].known;
-            path.push_back(node);
+        } else {
+            estimatedNaiveCost += refAccesses * seg.length / refLength;
+            estimatedNaiveExperiments += refExperiments;
         }
-        if (!covered) {
-            const uint64_t expBefore = oracle.experimentsRun();
-            const uint64_t accBefore = oracle.accessesIssued();
-            const auto outcomes = oracle.observeSegment(blocks);
-            segExperiments[seg] =
-                oracle.experimentsRun() - expBefore;
-            segAccesses[seg] = oracle.accessesIssued() - accBefore;
-            segObserved[seg] = true;
-            for (std::size_t i = 0; i < blocks.size(); ++i) {
-                ObsNode& slot = trie[path[i]];
-                if (!slot.known) {
-                    slot.known = true;
-                    slot.hit = outcomes[i].hit;
-                    slot.level = outcomes[i].level;
-                    slot.confidence = outcomes[i].confidence;
-                    slot.determined = outcomes[i].determined;
-                }
-            }
-        } else if (stats) {
-            stats->prefixReuses += blocks.size();
-        }
-    }
-
-    // Naive-cost estimate: every instance of a segment would have
-    // paid that segment's observed cost; segments never observed are
-    // costed pro rata from the first observed segment (the repeats
-    // and per-access routing overhead are batch-wide constants).
-    uint64_t refAccesses = 0;
-    uint64_t refExperiments = 0;
-    std::size_t refLength = 1;
-    for (uint32_t seg = 0; seg < segBlocks.size(); ++seg) {
-        if (segObserved[seg] && !segBlocks[seg].empty()) {
-            refAccesses = segAccesses[seg];
-            refExperiments = segExperiments[seg];
-            refLength = segBlocks[seg].size();
-            break;
-        }
-    }
-    for (uint32_t q = 0; q < queries.size(); ++q) {
-        for (const Instance& inst : instances[q]) {
-            const uint32_t seg = inst.seg;
-            if (segObserved[seg]) {
-                estimatedNaiveCost += segAccesses[seg];
-                estimatedNaiveExperiments += segExperiments[seg];
-            } else {
-                estimatedNaiveCost += refAccesses *
-                                      segBlocks[seg].size() /
-                                      refLength;
-                estimatedNaiveExperiments += refExperiments;
-            }
-        }
-    }
-
-    std::vector<QueryVerdict> verdicts(queries.size());
-    uint64_t actualExperiments = 0;
-    uint64_t actualAccesses = 0;
-    for (uint32_t q = 0; q < queries.size(); ++q) {
-        QueryVerdict& verdict = verdicts[q];
-        for (const Instance& inst : instances[q]) {
-            const uint32_t seg = inst.seg;
-            if (segObserved[seg] && segFirstQuery[seg] == q) {
-                verdict.experiments += segExperiments[seg];
-                verdict.accesses += segAccesses[seg];
-            }
-            const auto& path = segPath[seg];
-            for (std::size_t i = 0; i < path.size(); ++i) {
-                const uint32_t step = inst.stepIndex[i];
-                if (!queries[q].steps[step].probe)
-                    continue;
-                const ObsNode& slot = trie[path[i]];
-                ensure(slot.known,
-                       "batchEvaluateReplay: unobserved position");
-                verdict.probes.push_back(
-                    {step, segBlocks[seg][i], slot.hit, slot.level,
-                     slot.confidence, slot.determined});
-            }
-        }
-        std::sort(verdict.probes.begin(), verdict.probes.end(),
-                  [](const ProbeOutcome& a, const ProbeOutcome& b) {
-                      return a.step < b.step;
-                  });
-        actualExperiments += verdict.experiments;
-        actualAccesses += verdict.accesses;
-    }
+        for (std::size_t i = begin; i < end; ++i)
+            answers.outcomes[i] = seen[nodeOfStep[i]];
+    });
 
     if (stats) {
-        stats->queries += queries.size();
+        uint64_t actualExperiments = 0;
+        uint64_t actualAccesses = 0;
+        for (std::size_t w = 0; w < ends.size(); ++w) {
+            actualExperiments += answers.experiments[w];
+            actualAccesses += answers.accesses[w];
+        }
+        stats->queries += ends.size();
         stats->naiveCost += estimatedNaiveCost;
         stats->sharedCost += actualAccesses;
         stats->experimentsRun += actualExperiments;
@@ -484,7 +511,7 @@ batchEvaluateReplay(MachineOracle& oracle,
                 ? estimatedNaiveExperiments - actualExperiments
                 : 0;
     }
-    return verdicts;
+    return answers;
 }
 
 } // namespace recap::query

@@ -40,28 +40,17 @@ ZipfSampler::sample(Rng& rng) const
     return lo;
 }
 
-void
-FlakyOracle::maybeFail()
+FlatAnswers
+FlakyOracle::runFlat(std::span<const BlockId> blocks,
+                     std::span<const uint8_t> flushes,
+                     std::span<const uint32_t> ends,
+                     const BatchOptions& opts, BatchStats* stats)
 {
     if (failuresLeft_ > 0) {
         --failuresLeft_;
         throw std::runtime_error("injected oracle failure");
     }
-}
-
-QueryVerdict
-FlakyOracle::evaluate(const CompiledQuery& query)
-{
-    maybeFail();
-    return inner_.evaluate(query);
-}
-
-std::vector<QueryVerdict>
-FlakyOracle::evaluateBatch(const std::vector<CompiledQuery>& queries,
-                           const BatchOptions& opts, BatchStats* stats)
-{
-    maybeFail();
-    return inner_.evaluateBatch(queries, opts, stats);
+    return inner_.evaluateFlat(blocks, flushes, ends, opts, stats);
 }
 
 std::vector<std::string>

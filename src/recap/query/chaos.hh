@@ -97,9 +97,10 @@ class ZipfSampler
 };
 
 /**
- * A deliberately sick oracle for deterministic breaker tests: throws
- * for the first @p failFirstN evaluations (and batch evaluations),
- * then behaves exactly like the wrapped oracle.
+ * A deliberately sick oracle for deterministic breaker tests: the
+ * first @p failFirstN calls of any API (evaluate, evaluateBatch,
+ * observeWords) throw, then it behaves exactly like the wrapped
+ * oracle.
  */
 class FlakyOracle : public QueryOracle
 {
@@ -113,11 +114,6 @@ class FlakyOracle : public QueryOracle
     {
         return "flaky(" + inner_.describe() + ")";
     }
-    QueryVerdict evaluate(const CompiledQuery& query) override;
-    std::vector<QueryVerdict>
-    evaluateBatch(const std::vector<CompiledQuery>& queries,
-                  const BatchOptions& opts,
-                  BatchStats* stats) override;
     uint64_t experimentsRun() const override
     {
         return inner_.experimentsRun();
@@ -137,9 +133,14 @@ class FlakyOracle : public QueryOracle
     /** Injected failures still pending. */
     unsigned failuresLeft() const { return failuresLeft_; }
 
-  private:
-    void maybeFail();
+  protected:
+    FlatAnswers runFlat(std::span<const BlockId> blocks,
+                        std::span<const uint8_t> flushes,
+                        std::span<const uint32_t> ends,
+                        const BatchOptions& opts,
+                        BatchStats* stats) override;
 
+  private:
     QueryOracle& inner_;
     unsigned failuresLeft_;
 };

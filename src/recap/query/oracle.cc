@@ -2,99 +2,97 @@
 
 #include "recap/common/error.hh"
 #include "recap/policy/factory.hh"
-#include "recap/query/batch.hh"
 
 namespace recap::query
 {
+
+FlatAnswers
+QueryOracle::evaluateFlat(std::span<const BlockId> blocks,
+                          std::span<const uint8_t> flushes,
+                          std::span<const uint32_t> ends,
+                          const BatchOptions& opts, BatchStats* stats)
+{
+    ensure(blocks.size() < UINT32_MAX,
+           "evaluateFlat: 2^32 - 1 steps or more");
+    require(flushes.empty() || flushes.size() == blocks.size(),
+            "evaluateFlat: one flush flag per step");
+    std::size_t covered = 0;
+    for (const uint32_t end : ends) {
+        require(end >= covered, "evaluateFlat: sequence ends fall");
+        covered = end;
+    }
+    require(covered == blocks.size(),
+            "evaluateFlat: sequence ends must end at the step count");
+    return runFlat(blocks, flushes, ends, opts, stats);
+}
+
+QueryVerdict
+QueryOracle::evaluate(const CompiledQuery& query)
+{
+    BatchOptions opts;
+    opts.prefixSharing = false;
+    return std::move(answerQueries({&query, 1}, opts, nullptr).front());
+}
 
 std::vector<QueryVerdict>
 QueryOracle::evaluateBatch(const std::vector<CompiledQuery>& queries,
                            const BatchOptions& opts, BatchStats* stats)
 {
-    (void)opts;
-    std::vector<QueryVerdict> verdicts;
-    verdicts.reserve(queries.size());
+    return answerQueries(queries, opts, stats);
+}
+
+std::vector<QueryVerdict>
+QueryOracle::answerQueries(std::span<const CompiledQuery> queries,
+                           const BatchOptions& opts, BatchStats* stats)
+{
+    std::vector<BlockId> blocks;
+    std::vector<uint8_t> flushes;
+    std::vector<uint32_t> ends;
+    std::size_t steps = 0;
     for (const CompiledQuery& q : queries)
-        verdicts.push_back(evaluate(q));
-    if (stats) {
-        stats->queries += queries.size();
-        for (const QueryVerdict& v : verdicts) {
-            stats->naiveCost += v.accesses;
-            stats->sharedCost += v.accesses;
-            stats->experimentsRun += v.experiments;
+        steps += q.steps.size();
+    blocks.reserve(steps);
+    flushes.reserve(steps);
+    ends.reserve(queries.size());
+    for (const CompiledQuery& q : queries) {
+        for (const Step& step : q.steps) {
+            blocks.push_back(step.block);
+            flushes.push_back(step.flush ? 1 : 0);
         }
+        ends.push_back(static_cast<uint32_t>(blocks.size()));
+    }
+    const FlatAnswers answers =
+        evaluateFlat(blocks, flushes, ends, opts, stats);
+
+    std::vector<QueryVerdict> verdicts(queries.size());
+    std::size_t begin = 0;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        QueryVerdict& verdict = verdicts[q];
+        verdict.experiments = answers.experiments[q];
+        verdict.accesses = answers.accesses[q];
+        verdict.probes.reserve(queries[q].probeCount());
+        for (uint32_t i = 0; i < queries[q].steps.size(); ++i) {
+            const Step& step = queries[q].steps[i];
+            if (step.flush || !step.probe)
+                continue;
+            const PositionOutcome& o = answers.outcomes[begin + i];
+            verdict.probes.push_back({i, step.block, o.hit, o.level,
+                                      o.confidence, o.determined});
+        }
+        begin = ends[q];
     }
     return verdicts;
 }
-
-namespace
-{
-
-/**
- * Checks that @p ends split a block array of length @p blocks into
- * non-empty words.
- */
-void
-requireWordEnds(std::size_t blocks, std::span<const uint32_t> ends)
-{
-    std::size_t begin = 0;
-    for (const uint32_t end : ends) {
-        require(end > begin, "observeWords: empty word");
-        begin = end;
-    }
-    require(begin == blocks,
-            "observeWords: word ends must end at the block count");
-}
-
-} // namespace
 
 std::vector<PositionOutcome>
 QueryOracle::observeWords(std::span<const BlockId> blocks,
                           std::span<const uint32_t> ends,
                           const BatchOptions& opts, BatchStats* stats)
 {
-    requireWordEnds(blocks.size(), ends);
-    std::vector<CompiledQuery> queries;
-    queries.reserve(ends.size());
-    std::size_t begin = 0;
-    for (const uint32_t end : ends) {
-        queries.push_back(makeObserveAllQuery(
-            {blocks.begin() + begin, blocks.begin() + end}));
-        begin = end;
-    }
-    const auto verdicts = evaluateBatch(queries, opts, stats);
-
-    std::vector<PositionOutcome> outcomes;
-    outcomes.reserve(blocks.size());
-    for (std::size_t w = 0; w < queries.size(); ++w) {
-        ensure(verdicts[w].probes.size() == queries[w].steps.size(),
-               "observeWords: probe count mismatch");
-        for (const ProbeOutcome& probe : verdicts[w].probes)
-            outcomes.push_back({probe.hit, probe.determined, probe.level,
-                                probe.confidence});
-    }
-    return outcomes;
-}
-
-std::vector<Segment>
-splitSegments(const CompiledQuery& query)
-{
-    std::vector<Segment> segments;
-    Segment current;
-    for (uint32_t i = 0; i < query.steps.size(); ++i) {
-        const Step& step = query.steps[i];
-        if (step.flush) {
-            if (!current.blocks.empty())
-                segments.push_back(std::move(current));
-            current = Segment{};
-        } else {
-            current.blocks.push_back(step.block);
-            current.stepIndex.push_back(i);
-        }
-    }
-    if (!current.blocks.empty())
-        segments.push_back(std::move(current));
-    return segments;
+    for (std::size_t w = 0; w < ends.size(); ++w)
+        require(ends[w] > (w == 0 ? 0 : ends[w - 1]),
+                "observeWords: empty word");
+    return evaluateFlat(blocks, {}, ends, opts, stats).outcomes;
 }
 
 PolicyOracle::PolicyOracle(policy::PolicyPtr prototype)
@@ -153,65 +151,6 @@ PolicyOracle::compiledTable()
     return compiled_;
 }
 
-void
-PolicyOracle::account(uint64_t experiments, uint64_t accesses)
-{
-    experiments_ += experiments;
-    accesses_ += accesses;
-}
-
-QueryVerdict
-PolicyOracle::evaluate(const CompiledQuery& query)
-{
-    checkpoint();
-    policy::SetModel model = freshModel();
-    QueryVerdict verdict;
-    verdict.experiments = 1;
-    for (uint32_t i = 0; i < query.steps.size(); ++i) {
-        const Step& step = query.steps[i];
-        if (step.flush) {
-            model.flush();
-            continue;
-        }
-        const bool hit = model.access(step.block);
-        ++verdict.accesses;
-        if (step.probe) {
-            verdict.probes.push_back(
-                {i, step.block, hit, hit ? 0u : 1u});
-        }
-    }
-    account(verdict.experiments, verdict.accesses);
-    return verdict;
-}
-
-std::vector<QueryVerdict>
-PolicyOracle::evaluateBatch(const std::vector<CompiledQuery>& queries,
-                            const BatchOptions& opts, BatchStats* stats)
-{
-    if (!opts.prefixSharing)
-        return QueryOracle::evaluateBatch(queries, opts, stats);
-    checkpoint();
-    return batchEvaluateSnapshot(*this, queries, opts, stats);
-}
-
-std::vector<PositionOutcome>
-PolicyOracle::observeWords(std::span<const BlockId> blocks,
-                           std::span<const uint32_t> ends,
-                           const BatchOptions& opts, BatchStats* stats)
-{
-    if (!opts.prefixSharing)
-        return QueryOracle::observeWords(blocks, ends, opts, stats);
-    requireWordEnds(blocks.size(), ends);
-    checkpoint();
-    const std::vector<uint8_t> hits =
-        batchEvaluateSnapshot(*this, blocks, {}, ends, opts, stats);
-    std::vector<PositionOutcome> outcomes;
-    outcomes.reserve(hits.size());
-    for (const uint8_t hit : hits)
-        outcomes.push_back({hit != 0, true, hit != 0 ? 0u : 1u, 1.0});
-    return outcomes;
-}
-
 MachineOracle::MachineOracle(infer::MeasurementContext& ctx,
                              const infer::DiscoveredGeometry& geom,
                              unsigned targetLevel,
@@ -253,7 +192,7 @@ MachineOracle::describe() const
 }
 
 std::vector<PositionOutcome>
-MachineOracle::observeSegment(const std::vector<BlockId>& blocks)
+MachineOracle::observeSegment(std::span<const BlockId> blocks)
 {
     // Every machine experiment batch funnels through here, so this
     // is where per-request timeouts/budgets get their granularity.
@@ -262,14 +201,15 @@ MachineOracle::observeSegment(const std::vector<BlockId>& blocks)
     const uint64_t loadsBefore = ctx.loadsIssued();
     const uint64_t experimentsBefore = ctx.experimentsRun();
 
-    std::vector<PositionOutcome> outcomes(blocks.size());
+    const std::vector<BlockId> seq(blocks.begin(), blocks.end());
+    std::vector<PositionOutcome> outcomes(seq.size());
     const unsigned target = prober_->targetLevel();
     // Fixed-N votes leave the default confidence and determined flag
     // on each outcome; only the sequential test reports its own.
     const bool robust = prober_->config().vote.enabled;
     if (mode_ == ObservationMode::kCounter) {
-        const auto obs = prober_->observeRobust(blocks);
-        for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const auto obs = prober_->observeRobust(seq);
+        for (std::size_t i = 0; i < seq.size(); ++i) {
             outcomes[i].hit = obs.hits[i];
             outcomes[i].level = obs.hits[i] ? target : ctx.depth();
             if (robust) {
@@ -278,8 +218,8 @@ MachineOracle::observeSegment(const std::vector<BlockId>& blocks)
             }
         }
     } else {
-        const auto obs = prober_->observeLevelsRobust(blocks);
-        for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const auto obs = prober_->observeLevelsRobust(seq);
+        for (std::size_t i = 0; i < seq.size(); ++i) {
             outcomes[i].level = obs.levels[i];
             outcomes[i].hit = obs.levels[i] <= target;
             if (robust) {
@@ -291,41 +231,6 @@ MachineOracle::observeSegment(const std::vector<BlockId>& blocks)
     experiments_ += ctx.experimentsRun() - experimentsBefore;
     accesses_ += ctx.loadsIssued() - loadsBefore;
     return outcomes;
-}
-
-QueryVerdict
-MachineOracle::evaluate(const CompiledQuery& query)
-{
-    const uint64_t experimentsBefore = experiments_;
-    const uint64_t accessesBefore = accesses_;
-
-    QueryVerdict verdict;
-    for (const Segment& segment : splitSegments(query)) {
-        const auto outcomes = observeSegment(segment.blocks);
-        for (std::size_t i = 0; i < segment.blocks.size(); ++i) {
-            const uint32_t step = segment.stepIndex[i];
-            if (!query.steps[step].probe)
-                continue;
-            verdict.probes.push_back({step, segment.blocks[i],
-                                      outcomes[i].hit,
-                                      outcomes[i].level,
-                                      outcomes[i].confidence,
-                                      outcomes[i].determined});
-        }
-    }
-    verdict.experiments = experiments_ - experimentsBefore;
-    verdict.accesses = accesses_ - accessesBefore;
-    return verdict;
-}
-
-std::vector<QueryVerdict>
-MachineOracle::evaluateBatch(const std::vector<CompiledQuery>& queries,
-                             const BatchOptions& opts,
-                             BatchStats* stats)
-{
-    if (!opts.prefixSharing)
-        return QueryOracle::evaluateBatch(queries, opts, stats);
-    return batchEvaluateReplay(*this, queries, opts, stats);
 }
 
 } // namespace recap::query

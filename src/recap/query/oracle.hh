@@ -2,15 +2,18 @@
  * @file
  * QueryOracle: the object that answers membership queries.
  *
- * Two backends:
- *  - PolicyOracle replays queries against a policy::SetModel
- *    automaton — exact, noiseless, and cheap; the replay substrate
- *    for what-if analysis and the fast path of batch evaluation.
- *  - MachineOracle runs queries as real measurement experiments on a
- *    machine under test, through infer::SetProber (inner-level
- *    eviction, majority voting, hw::NoiseConfig-aware) in either
- *    counter mode (per-level hit counters) or latency mode (timed
- *    loads classified into levels).
+ * Every question an oracle answers is one primitive: replay each
+ * sequence of a flat batch from a flushed set and report what every
+ * access did (QueryOracle::evaluateFlat). evaluate(), evaluateBatch()
+ * and observeWords() are adapters over it. Two backends implement it:
+ *  - PolicyOracle replays against a policy::SetModel automaton —
+ *    exact, noiseless, and cheap; the replay substrate for what-if
+ *    analysis and the fast path of batch evaluation.
+ *  - MachineOracle runs real measurement experiments on a machine
+ *    under test, through infer::SetProber (inner-level eviction,
+ *    repeated replays voted by fixed-N majority or the sequential
+ *    test) in either counter mode (per-level hit counters) or
+ *    latency mode (timed loads classified into levels).
  *
  * Every experiment issued through an oracle goes through
  * MeasurementContext::beginExperiment(), the same funnel the
@@ -129,8 +132,8 @@ struct QueryVerdict
 
 /**
  * Outcome of one observed position of an access sequence: the flat
- * per-position form of ProbeOutcome (observeWords() answers, machine
- * segment replays).
+ * per-position form of ProbeOutcome (evaluateFlat() and
+ * observeWords() answers, machine segment replays).
  */
 struct PositionOutcome
 {
@@ -149,7 +152,7 @@ struct PositionOutcome
     bool operator==(const PositionOutcome&) const = default;
 };
 
-/** Knobs for batch evaluation (see batch.hh). */
+/** Knobs for batch evaluation (see QueryOracle::evaluateFlat). */
 struct BatchOptions
 {
     /**
@@ -189,9 +192,25 @@ struct BatchStats
 };
 
 /**
- * Interface every query backend implements. evaluate() answers one
- * query; evaluateBatch() answers many, sharing work across common
- * access prefixes where the backend allows it (default: naive loop).
+ * Answers to one flat batch (QueryOracle::evaluateFlat): one outcome
+ * per step and the cost of each sequence.
+ */
+struct FlatAnswers
+{
+    /** One outcome per step, in input order; flushes keep the default. */
+    std::vector<PositionOutcome> outcomes;
+
+    /** Experiments each sequence consumed (0 when fully shared). */
+    std::vector<uint64_t> experiments;
+
+    /** Loads/accesses each sequence consumed (0 when fully shared). */
+    std::vector<uint64_t> accesses;
+};
+
+/**
+ * Interface every query backend implements: one batch primitive,
+ * evaluateFlat(), which each backend provides through runFlat(), and
+ * three adapters over it written once here.
  */
 class QueryOracle
 {
@@ -204,9 +223,32 @@ class QueryOracle
     /** Human-readable backend description for banners and logs. */
     virtual std::string describe() const = 0;
 
-    virtual QueryVerdict evaluate(const CompiledQuery& query) = 0;
+    /**
+     * The batch primitive: replays every sequence from a flushed set
+     * and reports every access. Sequence w is the steps
+     * [ends[w - 1], ends[w]) (from 0 for w = 0) of @p blocks; step i
+     * is a flush when @p flushes is non-empty and flushes[i] != 0
+     * (its block is then ignored), else an access. @p flushes is
+     * empty or holds one flag per block; @p ends never falls and
+     * ends at blocks.size() (UsageError otherwise). With
+     * opts.prefixSharing the backend shares work across the batch
+     * and charges each sequence its marginal cost; without it, every
+     * sequence replays on its own.
+     */
+    FlatAnswers evaluateFlat(std::span<const BlockId> blocks,
+                             std::span<const uint8_t> flushes,
+                             std::span<const uint32_t> ends,
+                             const BatchOptions& opts = {},
+                             BatchStats* stats = nullptr);
 
-    virtual std::vector<QueryVerdict>
+    /** Answers one query: a batch of one, without prefix sharing. */
+    QueryVerdict evaluate(const CompiledQuery& query);
+
+    /**
+     * Answers @p queries as one flat batch; verdict q carries query
+     * q's probes in step order and its costs.
+     */
+    std::vector<QueryVerdict>
     evaluateBatch(const std::vector<CompiledQuery>& queries,
                   const BatchOptions& opts = {},
                   BatchStats* stats = nullptr);
@@ -216,12 +258,11 @@ class QueryOracle
      * blocks[ends[w - 1], ends[w]) (from 0 for w = 0), replayed from
      * a flushed set with every position probed. Words are non-empty:
      * @p ends rises strictly and ends at blocks.size(). Returns one
-     * outcome per block, in input order. Answers, costs and @p stats
+     * outcome per block, in input order; answers, costs and @p stats
      * are those of evaluateBatch() on the words as
-     * makeObserveAllQuery() queries, which is what this default does;
-     * backends override it only to skip the per-word objects.
+     * makeObserveAllQuery() queries.
      */
-    virtual std::vector<PositionOutcome>
+    std::vector<PositionOutcome>
     observeWords(std::span<const BlockId> blocks,
                  std::span<const uint32_t> ends,
                  const BatchOptions& opts = {},
@@ -249,6 +290,13 @@ class QueryOracle
     }
 
   protected:
+    /** The backend's evaluateFlat(), on input already checked. */
+    virtual FlatAnswers runFlat(std::span<const BlockId> blocks,
+                                std::span<const uint8_t> flushes,
+                                std::span<const uint32_t> ends,
+                                const BatchOptions& opts,
+                                BatchStats* stats) = 0;
+
     /** Runs the installed checkpoint hook, if any. */
     void checkpoint() const
     {
@@ -257,26 +305,18 @@ class QueryOracle
     }
 
   private:
+    std::vector<QueryVerdict>
+    answerQueries(std::span<const CompiledQuery> queries,
+                  const BatchOptions& opts, BatchStats* stats);
+
     std::function<void()> checkpoint_;
 };
 
 /**
- * One maximal flush-free run of accesses of a compiled query.
- * Machine experiments always replay from a flush, so a query is
- * evaluated segment by segment; `stepIndex[i]` maps segment position
- * i back to the step it came from.
- */
-struct Segment
-{
-    std::vector<BlockId> blocks;
-    std::vector<uint32_t> stepIndex;
-};
-
-/** Splits @p query at flush steps; empty runs are dropped. */
-std::vector<Segment> splitSegments(const CompiledQuery& query);
-
-/**
- * Replay backend: answers queries against a policy automaton.
+ * Replay backend: answers queries against a policy automaton. With
+ * prefix sharing it runs the snapshot core (batch.cc, one checkpoint
+ * per batch); without, one fresh SetModel replay per sequence (one
+ * checkpoint and one experiment each).
  */
 class PolicyOracle : public QueryOracle
 {
@@ -290,40 +330,35 @@ class PolicyOracle : public QueryOracle
 
     unsigned ways() const override;
     std::string describe() const override;
-    QueryVerdict evaluate(const CompiledQuery& query) override;
-    std::vector<QueryVerdict>
-    evaluateBatch(const std::vector<CompiledQuery>& queries,
-                  const BatchOptions& opts = {},
-                  BatchStats* stats = nullptr) override;
-
-    /**
-     * The words go straight to the flat snapshot core (batch.hh);
-     * the checkpoint runs once per batch. Without prefix sharing
-     * this is the default (per-word replay), as in evaluateBatch().
-     */
-    std::vector<PositionOutcome>
-    observeWords(std::span<const BlockId> blocks,
-                 std::span<const uint32_t> ends,
-                 const BatchOptions& opts = {},
-                 BatchStats* stats = nullptr) override;
     uint64_t experimentsRun() const override { return experiments_; }
     uint64_t accessesIssued() const override { return accesses_; }
 
-    /** A fresh (flushed) set model of the prototype policy. */
-    policy::SetModel freshModel() const;
-
     /**
      * The prototype compiled to a transition table, or nullptr when
-     * its state space exceeds the default budget (then callers use
-     * freshModel()). Compiled lazily on first call and cached for
-     * the oracle's lifetime.
+     * its state space exceeds the default budget (then the snapshot
+     * core walks SetModel copies). Compiled lazily on first call and
+     * cached for the oracle's lifetime.
      */
     policy::CompiledTablePtr compiledTable();
 
-    /** Adds batch-evaluator costs to the cumulative counters. */
-    void account(uint64_t experiments, uint64_t accesses);
+  protected:
+    FlatAnswers runFlat(std::span<const BlockId> blocks,
+                        std::span<const uint8_t> flushes,
+                        std::span<const uint32_t> ends,
+                        const BatchOptions& opts,
+                        BatchStats* stats) override;
 
   private:
+    /** A fresh (flushed) set model of the prototype policy. */
+    policy::SetModel freshModel() const;
+
+    /** The snapshot core: runFlat() with prefix sharing. */
+    FlatAnswers shareSnapshots(std::span<const BlockId> blocks,
+                               std::span<const uint8_t> flushes,
+                               std::span<const uint32_t> ends,
+                               const BatchOptions& opts,
+                               BatchStats* stats);
+
     policy::PolicyPtr prototype_;
     std::string spec_;
     bool specTrusted_ = false;
@@ -369,11 +404,6 @@ class MachineOracle : public QueryOracle
 
     unsigned ways() const override;
     std::string describe() const override;
-    QueryVerdict evaluate(const CompiledQuery& query) override;
-    std::vector<QueryVerdict>
-    evaluateBatch(const std::vector<CompiledQuery>& queries,
-                  const BatchOptions& opts = {},
-                  BatchStats* stats = nullptr) override;
     uint64_t experimentsRun() const override { return experiments_; }
     uint64_t accessesIssued() const override { return accesses_; }
 
@@ -387,16 +417,35 @@ class MachineOracle : public QueryOracle
     infer::SetProber& prober() { return *prober_; }
     ObservationMode mode() const { return mode_; }
 
+  protected:
     /**
-     * Observes every position of one flush-delimited segment (one
-     * voted experiment batch on the machine) and updates the cost
-     * counters. The batch evaluator and evaluate() both funnel every
-     * machine experiment through here.
+     * Experiments always replay from a flush, so every sequence is
+     * observed segment by segment (its maximal flush-free runs). With
+     * prefix sharing, replay sharing (batch.cc); without, one
+     * observeSegment() per segment of each sequence.
      */
-    std::vector<PositionOutcome>
-    observeSegment(const std::vector<BlockId>& blocks);
+    FlatAnswers runFlat(std::span<const BlockId> blocks,
+                        std::span<const uint8_t> flushes,
+                        std::span<const uint32_t> ends,
+                        const BatchOptions& opts,
+                        BatchStats* stats) override;
 
   private:
+    /**
+     * Observes every position of one flush-free segment (one voted
+     * experiment batch on the machine) and updates the cost counters.
+     * Every machine experiment funnels through here, after one
+     * checkpoint.
+     */
+    std::vector<PositionOutcome>
+    observeSegment(std::span<const BlockId> blocks);
+
+    /** Replay sharing: runFlat() with prefix sharing. */
+    FlatAnswers shareReplays(std::span<const BlockId> blocks,
+                             std::span<const uint8_t> flushes,
+                             std::span<const uint32_t> ends,
+                             BatchStats* stats);
+
     std::unique_ptr<infer::SetProber> owned_;
     infer::SetProber* prober_;
     ObservationMode mode_;

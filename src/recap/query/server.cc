@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -485,9 +486,10 @@ querydMain(int argc, const char* const* argv, std::istream& in,
             else if (arg == "--seed")
                 count(seed);
             else if (arg == "--noise")
-                noiseP = std::stod(value());
+                noiseP = parseRate(value(), arg, 0.0, 1.0);
             else if (arg == "--hostile")
-                hostileX = std::stod(value());
+                hostileX = parseRate(value(), arg, 0.0,
+                                     std::numeric_limits<double>::max());
             else if (arg == "--threads")
                 count(opts.batch.numThreads);
             else if (arg == "--naive")

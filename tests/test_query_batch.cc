@@ -15,7 +15,6 @@
 #include "recap/infer/geometry_probe.hh"
 #include "recap/infer/measurement.hh"
 #include "recap/policy/factory.hh"
-#include "recap/query/batch.hh"
 #include "recap/query/chaos.hh"
 #include "recap/query/oracle.hh"
 #include "recap/query/parse.hh"
@@ -35,7 +34,6 @@ using query::PolicyOracle;
 using query::PositionOutcome;
 using query::ProbeOutcome;
 using query::QueryVerdict;
-using query::batchEvaluateSnapshot;
 
 /** A workload with heavy prefix overlap, flushes and duplicates. */
 std::vector<CompiledQuery>
@@ -431,9 +429,9 @@ TEST(QueryBatch, ObserveWordsWithoutSharingMatchesNaiveBatch)
 
 TEST(QueryBatch, ObserveWordsOnFlakyOracleTakesTheDefaultPath)
 {
-    // The default builds one query per word and calls evaluateBatch(),
-    // so the wrapper's injected failure fires, then the answers are
-    // the wrapped oracle's own.
+    // observeWords() is an adapter over the flat entry the wrapper
+    // overrides, so the wrapper's injected failure fires, then the
+    // answers are the wrapped oracle's own.
     const Words words = randomWords(5, 40, 6);
     PolicyOracle inner("qlru:H1,M1,R0,U2", 4);
     FlakyOracle flaky(inner, 1);
@@ -454,7 +452,7 @@ TEST(QueryBatch, ObserveWordsOnFlakyOracleTakesTheDefaultPath)
 
 TEST(QueryBatch, ObserveWordsOnMachineMatchesReplayBatch)
 {
-    // MachineOracle keeps the default: replay sharing and voting.
+    // Words and DSL queries reach the same replay-sharing entry.
     const Words words = randomWords(3, 30, 6);
     const auto spec =
         hw::reducedSpec(hw::catalogMachine("core2-e6300"), 512);
@@ -500,21 +498,18 @@ TEST(QueryBatch, SnapshotCoreRejectsMalformedInput)
          {std::vector<uint32_t>{5, 3}, std::vector<uint32_t>{4, 2, 5},
           std::vector<uint32_t>{3}, std::vector<uint32_t>{2, 6},
           std::vector<uint32_t>{}})
-        EXPECT_THROW(batchEvaluateSnapshot(oracle, blocks, {}, ends),
-                     UsageError);
+        EXPECT_THROW(oracle.evaluateFlat(blocks, {}, ends), UsageError);
     const std::vector<uint8_t> flushes = {0, 1, 0};
-    EXPECT_THROW(batchEvaluateSnapshot(oracle, blocks, flushes,
-                                       std::vector<uint32_t>{5}),
-                 UsageError);
+    EXPECT_THROW(
+        oracle.evaluateFlat(blocks, flushes, std::vector<uint32_t>{5}),
+        UsageError);
     // Empty sequences are well formed: they cost nothing.
-    std::vector<uint64_t> accesses;
     BatchStats stats;
-    EXPECT_EQ(batchEvaluateSnapshot(oracle, blocks, {},
-                                    std::vector<uint32_t>{0, 5, 5}, {},
-                                    &stats, &accesses)
-                  .size(),
-              blocks.size());
-    EXPECT_EQ(accesses, (std::vector<uint64_t>{0, 5, 0}));
+    const auto answers = oracle.evaluateFlat(
+        blocks, {}, std::vector<uint32_t>{0, 5, 5}, {}, &stats);
+    EXPECT_EQ(answers.outcomes.size(), blocks.size());
+    EXPECT_EQ(answers.accesses, (std::vector<uint64_t>{0, 5, 0}));
+    EXPECT_EQ(answers.experiments, (std::vector<uint64_t>{0, 1, 0}));
     EXPECT_EQ(stats.experimentsRun, 1u);
     EXPECT_EQ(oracle.accessesIssued(), 5u);
 }

@@ -143,17 +143,6 @@ TEST(PolicyOracle, AccumulatesCost)
     EXPECT_NE(oracle.describe().find("lru"), std::string::npos);
 }
 
-TEST(SplitSegments, FlushesDelimitAndEmptyRunsDrop)
-{
-    const CompiledQuery q = parse("@ a b @ @ c? d @");
-    const auto segments = query::splitSegments(q);
-    ASSERT_EQ(segments.size(), 2u);
-    EXPECT_EQ(segments[0].blocks, (std::vector<BlockId>{1, 2}));
-    EXPECT_EQ(segments[0].stepIndex, (std::vector<uint32_t>{1, 2}));
-    EXPECT_EQ(segments[1].blocks, (std::vector<BlockId>{3, 4}));
-    EXPECT_EQ(segments[1].stepIndex, (std::vector<uint32_t>{5, 6}));
-}
-
 TEST(MachineOracle, CounterModeMatchesGroundTruthPolicy)
 {
     for (unsigned level : {0u, 1u}) {

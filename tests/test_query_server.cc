@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "recap/hw/catalog.hh"
@@ -420,6 +421,44 @@ TEST(QuerydCli, RejectsMalformedCounts)
         << err;
 }
 
+// --noise takes a probability and --hostile a non-negative intensity,
+// each a finite number written out in full: "0.5x" must not read as
+// 0.5, a negative value or "nan" must not quietly give a noiseless
+// machine, and "inf" must not clamp every fault to certainty. The
+// input stream is empty, so a wrongly accepted value never serves
+// anything.
+TEST(QuerydCli, RejectsMalformedRates)
+{
+    std::string out;
+    std::string err;
+    const auto rejects = [&](const std::string& flag,
+                             const std::string& value) {
+        const int rc = runQueryd({"--machine", "core2-e6300", flag, value},
+                                 "", out, err);
+        EXPECT_EQ(rc, 2) << flag << " '" << value << "'";
+        EXPECT_TRUE(contains(err, "bad rate"))
+            << flag << " '" << value << "': " << err;
+    };
+    for (const std::string flag : {"--noise", "--hostile"})
+        for (const std::string value :
+             {"0.5x", "-1", "-0.5", "nan", "inf", "-inf", "", " 0.5",
+              "+0.5", "0,5", "1e400"})
+            rejects(flag, value);
+    rejects("--noise", "1.5");
+
+    // Well-formed rates still parse, at the edges of their ranges too.
+    for (const auto& [flag, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"--noise", "0"}, {"--noise", "1"}, {"--noise", "0.25"},
+             {"--noise", "2.5e-1"}, {"--hostile", "0"},
+             {"--hostile", "0.5"}, {"--hostile", "3"}}) {
+        EXPECT_EQ(runQueryd({"--machine", "core2-e6300", flag, value}, "",
+                            out, err),
+                  0)
+            << flag << " '" << value << "': " << err;
+    }
+}
+
 // ---------------------------------------------------------------
 // NDJSON session-parser fuzzing: hostile byte streams must always
 // produce structured JSON errors (or structured answers) and must
@@ -466,7 +505,7 @@ TEST(QueryServerFuzz, MalformedUtf8AndNulsGetStructuredErrors)
     const std::vector<std::string> hostile = {
         std::string("\xc3\x28 a?"),         // bad continuation
         std::string("\xf0\x9f a?"),         // truncated 4-byte seq
-        std::string("a\x00b a?", 7),        // embedded NUL
+        std::string("a\0b a?", 6),          // embedded NUL
         std::string("\xff\xfe\xfd"),        // not UTF-8 at all
         std::string(3, '\x01') + " a?",     // control chars
     };

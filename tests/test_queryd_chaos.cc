@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -401,7 +402,7 @@ namespace
 {
 
 /**
- * Aborts (with a structured reason) any query mentioning block "x";
+ * Aborts (with a structured reason) any batch holding a flush;
  * everything else goes to the real policy oracle. Lets one session
  * abort deterministically while another stays healthy on the SAME
  * shard.
@@ -414,13 +415,6 @@ class PoisonOracle : public QueryOracle
     {
         return "poison(" + inner_.describe() + ")";
     }
-    QueryVerdict evaluate(const CompiledQuery& query) override
-    {
-        if (contains(query.text, "x"))
-            throw RequestAborted("poisoned request",
-                                 AbortReason::kAccessBudget);
-        return inner_.evaluate(query);
-    }
     uint64_t experimentsRun() const override
     {
         return inner_.experimentsRun();
@@ -428,6 +422,19 @@ class PoisonOracle : public QueryOracle
     uint64_t accessesIssued() const override
     {
         return inner_.accessesIssued();
+    }
+
+  protected:
+    FlatAnswers runFlat(std::span<const BlockId> blocks,
+                        std::span<const uint8_t> flushes,
+                        std::span<const uint32_t> ends,
+                        const BatchOptions& opts,
+                        BatchStats* stats) override
+    {
+        if (std::find(flushes.begin(), flushes.end(), 1) != flushes.end())
+            throw RequestAborted("poisoned request",
+                                 AbortReason::kAccessBudget);
+        return inner_.evaluateFlat(blocks, flushes, ends, opts, stats);
     }
 
   private:
@@ -458,7 +465,7 @@ TEST(ChaosIsolation, SessionsOnTheSameShardDoNotShareAborts)
     });
     std::thread b([&] {
         for (int i = 0; i < kRequests; ++i)
-            poisoned[i] = core.handle(1, "x a x?");
+            poisoned[i] = core.handle(1, "x @ x?");
     });
     a.join();
     b.join();
