@@ -1,6 +1,7 @@
 #include "recap/learn/lstar.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "recap/common/error.hh"
 #include "recap/common/parallel.hh"
@@ -19,6 +20,42 @@ spliced(const Word& u, const Word& v, std::size_t from)
     Word word = u;
     word.insert(word.end(), v.begin() + from, v.end());
     return word;
+}
+
+/**
+ * Appends the concrete blocks (1-based) of learner word @p word to
+ * @p out; see LStarLearner::concretize().
+ */
+void
+appendConcrete(std::span<const Symbol> word, SymbolSemantics semantics,
+               unsigned alphabet, std::vector<Symbol>& out)
+{
+    if (semantics == SymbolSemantics::kConcreteBlocks) {
+        for (const Symbol symbol : word)
+            out.push_back(symbol + 1);
+        return;
+    }
+
+    // Recency roles: symbol s < alphabet-1 names the (s+1)-th most
+    // recently accessed distinct block of the word so far; the last
+    // symbol (and any rank beyond the current distinct count) names
+    // a fresh block. Block ids are handed out from 1 upward in order
+    // of first appearance, so equal role words instantiate to equal
+    // concrete words.
+    std::vector<Symbol> recency; // most recent first
+    Symbol nextFresh = 1;
+    for (const Symbol symbol : word) {
+        Symbol block;
+        if (symbol + 1 < alphabet &&
+            static_cast<std::size_t>(symbol) < recency.size()) {
+            block = recency[symbol];
+            recency.erase(recency.begin() + symbol);
+        } else {
+            block = nextFresh++;
+        }
+        recency.insert(recency.begin(), block);
+        out.push_back(block);
+    }
 }
 
 } // namespace
@@ -45,36 +82,8 @@ Word
 LStarLearner::concretize(const Word& word, SymbolSemantics semantics,
                          unsigned alphabet)
 {
-    if (semantics == SymbolSemantics::kConcreteBlocks) {
-        Word concrete;
-        concrete.reserve(word.size());
-        for (Symbol symbol : word)
-            concrete.push_back(symbol + 1);
-        return concrete;
-    }
-
-    // Recency roles: symbol s < alphabet-1 names the (s+1)-th most
-    // recently accessed distinct block of the word so far; the last
-    // symbol (and any rank beyond the current distinct count) names
-    // a fresh block. Block ids are handed out from 1 upward in order
-    // of first appearance, so equal role words instantiate to equal
-    // concrete words.
     Word concrete;
-    concrete.reserve(word.size());
-    std::vector<Symbol> recency; // most recent first
-    Symbol nextFresh = 1;
-    for (Symbol symbol : word) {
-        Symbol block;
-        if (symbol + 1 < alphabet &&
-            static_cast<std::size_t>(symbol) < recency.size()) {
-            block = recency[symbol];
-            recency.erase(recency.begin() + symbol);
-        } else {
-            block = nextFresh++;
-        }
-        recency.insert(recency.begin(), block);
-        concrete.push_back(block);
-    }
+    appendConcrete(word, semantics, alphabet, concrete);
     return concrete;
 }
 
@@ -90,40 +99,62 @@ LStarLearner::abstain(const std::string& reason)
 bool
 LStarLearner::ask(const std::vector<Word>& words)
 {
-    if (words.empty())
+    return ask(words.size(),
+               [&](std::size_t w, Word& word) { word = words[w]; });
+}
+
+bool
+LStarLearner::ask(std::size_t count, const WordSource& wordAt)
+{
+    if (count == 0)
         return true;
-    if (teacher_.wordsAsked() + words.size() > options_.maxWords) {
+    if (teacher_.wordsAsked() + count > options_.maxWords) {
         abstain("membership budget exhausted (" +
                 std::to_string(options_.maxWords) + " words)");
         return false;
     }
 
-    std::vector<Word> concrete;
-    concrete.reserve(words.size());
-    for (const Word& word : words) {
-        concrete.push_back(
-            concretize(word, options_.semantics, alphabet_));
+    // The words go to the teacher concretized and laid end to end;
+    // they are generated again to be recorded, so no copy of the
+    // batch is kept on this side.
+    Word word;
+    std::vector<uint32_t> ends(count);
+    TeacherAnswers answers;
+    {
+        std::vector<Symbol> symbols;
+        for (std::size_t w = 0; w < count; ++w) {
+            wordAt(w, word);
+            require(!word.empty(), "LStarLearner: empty word");
+            appendConcrete(word, options_.semantics, alphabet_, symbols);
+            ensure(symbols.size() < UINT32_MAX,
+                   "LStarLearner: batch of 2^32 - 1 symbols or more");
+            ends[w] = static_cast<uint32_t>(symbols.size());
+        }
+        const std::size_t total = symbols.size();
+        answers = teacher_.answer(std::move(symbols), ends);
+        ensure(answers.outputs.size() == total &&
+                   answers.determined.size() == count &&
+                   answers.confidence.size() == count,
+               "LStarLearner: teacher answer count mismatch");
     }
-    const std::vector<TeacherAnswer> answers =
-        teacher_.answer(concrete);
-    ensure(answers.size() == words.size(),
-           "LStarLearner: teacher answer count mismatch");
 
-    for (std::size_t i = 0; i < words.size(); ++i) {
-        const TeacherAnswer& answer = answers[i];
+    const std::span<const uint8_t> outputs = answers.outputs;
+    for (std::size_t w = 0; w < count; ++w) {
         teacherConfidence_ =
-            std::min(teacherConfidence_, answer.confidence);
-        if (!answer.determined) {
+            std::min(teacherConfidence_, answers.confidence[w]);
+        const std::size_t begin = w == 0 ? 0 : ends[w - 1];
+        if (answers.determined[w] == 0) {
             abstain("teacher answer without quorum (word length " +
-                    std::to_string(words[i].size()) + ")");
+                    std::to_string(ends[w] - begin) + ")");
             return false;
         }
-        if (answer.confidence < options_.minConfidence) {
+        if (answers.confidence[w] < options_.minConfidence) {
             abstain("teacher confidence below threshold");
             return false;
         }
-        const PrefixStore::Recording recording =
-            table_.store().record(words[i], answer.outputs);
+        wordAt(w, word);
+        const PrefixStore::Recording recording = table_.store().record(
+            word, outputs.subspan(begin, ends[w] - begin));
         if (!recording.consistent) {
             abstain("teacher answers are inconsistent (conflict at "
                     "prefix length " +
@@ -344,48 +375,50 @@ LStarLearner::findCounterexample(const MealyMachine& hypothesis,
         }
         return std::nullopt;
     }
-    std::vector<Word> suite;
-    suite.reserve(suiteSize);
-    for (const Word& access : accessWords) {
-        for (Symbol a = 0; a <= alphabet_; ++a) {
-            Word base = access;
-            if (a < alphabet_)
-                base.push_back(a);
-            for (const Word& mid : middles) {
-                for (const Word& e : table_.suffixes()) {
-                    Word word = base;
-                    word.insert(word.end(), mid.begin(), mid.end());
-                    word.insert(word.end(), e.begin(), e.end());
-                    suite.push_back(std::move(word));
-                }
-            }
-        }
-    }
+    // Suite word i is access · a · middle · suffix (a = alphabet_
+    // standing for no symbol), numbered suffix fastest. The suite can
+    // run to millions of symbols, so its words are generated where
+    // they are needed instead of stored.
+    const std::vector<Word>& suffixes = table_.suffixes();
+    const auto suiteWord = [&](std::size_t i, Word& word) {
+        const Word& e = suffixes[i % suffixes.size()];
+        i /= suffixes.size();
+        const Word& mid = middles[i % middles.size()];
+        i /= middles.size();
+        const auto a = static_cast<Symbol>(i % (1 + alphabet_));
+        word = accessWords[i / (1 + alphabet_)];
+        if (a < alphabet_)
+            word.push_back(a);
+        word.insert(word.end(), mid.begin(), mid.end());
+        word.insert(word.end(), e.begin(), e.end());
+    };
 
     // Hypothesis-side predictions run under the deterministic
     // parallel engine; the SUL side is one prefix-shared batch.
-    std::vector<uint8_t> suitePredicted(suite.size());
-    parallelFor(suite.size(), options_.numThreads,
-                [&](std::size_t i) {
-                    suitePredicted[i] =
-                        walker.lastOutput(suite[i]) ? 1 : 0;
-                });
-    if (!ask(suite))
+    std::vector<uint8_t> suitePredicted(suiteSize);
+    parallelFor(suiteSize, options_.numThreads, [&](std::size_t i) {
+        Word word;
+        suiteWord(i, word);
+        suitePredicted[i] = walker.lastOutput(word) ? 1 : 0;
+    });
+    if (!ask(suiteSize, suiteWord))
         return std::nullopt;
     std::optional<Word> best;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        const int actual = table_.store().lookup(suite[i]);
+    Word word;
+    for (std::size_t i = 0; i < suiteSize; ++i) {
+        suiteWord(i, word);
+        const int actual = table_.store().lookup(word);
         ensure(actual >= 0, "W-method word not recorded");
         if (actual != suitePredicted[i] &&
-            (!best || suite[i].size() < best->size())) {
-            best = suite[i];
+            (!best || word.size() < best->size())) {
+            best = word;
         }
     }
     if (best) {
         // Shorten to the first position where outputs diverge.
         return scan({*best});
     }
-    equivalenceWords_ += suite.size();
+    equivalenceWords_ += suiteSize;
     return std::nullopt;
 }
 

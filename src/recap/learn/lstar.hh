@@ -38,6 +38,7 @@
 #define RECAP_LEARN_LSTAR_HH_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -206,12 +207,18 @@ class LStarLearner
                            unsigned alphabet);
 
   private:
+    /** Writes learner word w of a batch into its second argument. */
+    using WordSource = std::function<void(std::size_t, Word&)>;
+
     /**
      * Asks the teacher all of @p words (already learner-alphabet),
      * records answers in the store; returns false (with diagnostics)
      * when the learner must abstain.
      */
     bool ask(const std::vector<Word>& words);
+
+    /** ask() on the @p count words @p wordAt writes, in order. */
+    bool ask(std::size_t count, const WordSource& wordAt);
 
     /** Fills and closes the table; false = abstain. */
     bool closeTable();

@@ -24,54 +24,44 @@ OracleTeacher::describe() const
     return "teacher over " + oracle_.describe();
 }
 
-std::vector<TeacherAnswer>
-OracleTeacher::answer(const std::vector<Word>& words)
+TeacherAnswers
+OracleTeacher::answer(std::vector<Symbol> symbols,
+                      std::span<const uint32_t> ends)
 {
-    // Symbol s is block s + 1, the words laid end to end. A batch can
-    // hold millions of symbols, so the blocks go before the answers
-    // are built.
-    std::vector<uint32_t> ends;
+    // Symbol s is block s + 1. A batch can hold millions of symbols,
+    // so the symbols go once the blocks are laid out, the blocks
+    // before the answers are condensed, and the per-position outcomes
+    // when this returns.
     std::vector<query::PositionOutcome> outcomes;
     {
-        std::size_t symbols = 0;
-        for (const Word& word : words) {
-            require(!word.empty(), "OracleTeacher: empty word");
-            symbols += word.size();
-        }
-        ensure(symbols < UINT32_MAX,
-               "OracleTeacher: batch of 2^32 - 1 symbols or more");
-        std::vector<query::BlockId> blocks;
-        blocks.reserve(symbols);
-        ends.reserve(words.size());
-        for (const Word& word : words) {
-            for (const Symbol symbol : word)
-                blocks.push_back(static_cast<query::BlockId>(symbol) + 1);
-            ends.push_back(static_cast<uint32_t>(blocks.size()));
-        }
-
+        std::vector<query::BlockId> blocks(symbols.size());
+        for (std::size_t i = 0; i < symbols.size(); ++i)
+            blocks[i] = static_cast<query::BlockId>(symbols[i]) + 1;
+        std::vector<Symbol>().swap(symbols);
         const uint64_t expBefore = oracle_.experimentsRun();
         const uint64_t accBefore = oracle_.accessesIssued();
         outcomes = oracle_.observeWords(blocks, ends, batch_, &stats_);
         experiments_ += oracle_.experimentsRun() - expBefore;
         accesses_ += oracle_.accessesIssued() - accBefore;
-        wordsAsked_ += words.size();
+        wordsAsked_ += ends.size();
         ensure(outcomes.size() == blocks.size(),
                "OracleTeacher: outcome count mismatch");
     }
 
-    std::vector<TeacherAnswer> answers(words.size());
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i < words.size(); ++i) {
-        TeacherAnswer& answer = answers[i];
-        answer.outputs.reserve(ends[i] - begin);
-        for (std::size_t p = begin; p < ends[i]; ++p) {
+    TeacherAnswers answers;
+    answers.outputs.resize(outcomes.size());
+    answers.determined.assign(ends.size(), 1);
+    answers.confidence.assign(ends.size(), 1.0);
+    std::size_t p = 0;
+    for (std::size_t w = 0; w < ends.size(); ++w) {
+        for (; p < ends[w]; ++p) {
             const query::PositionOutcome& outcome = outcomes[p];
-            answer.outputs.push_back(outcome.hit);
-            answer.determined = answer.determined && outcome.determined;
-            answer.confidence =
-                std::min(answer.confidence, outcome.confidence);
+            answers.outputs[p] = outcome.hit ? 1 : 0;
+            if (!outcome.determined)
+                answers.determined[w] = 0;
+            answers.confidence[w] =
+                std::min(answers.confidence[w], outcome.confidence);
         }
-        begin = ends[i];
     }
     return answers;
 }
@@ -106,7 +96,8 @@ PrefixStore::extend(uint32_t node, Symbol symbol)
 }
 
 PrefixStore::Recording
-PrefixStore::record(const Word& word, const std::vector<bool>& outputs)
+PrefixStore::record(std::span<const Symbol> word,
+                    std::span<const uint8_t> outputs)
 {
     require(word.size() == outputs.size(),
             "PrefixStore::record: length mismatch");
@@ -114,7 +105,7 @@ PrefixStore::record(const Word& word, const std::vector<bool>& outputs)
     uint32_t node = kRoot;
     for (std::size_t i = 0; i < word.size(); ++i) {
         node = extend(node, word[i]);
-        const int8_t output = outputs[i] ? 1 : 0;
+        const int8_t output = outputs[i] != 0 ? 1 : 0;
         if (outcome_[node] < 0) {
             outcome_[node] = output;
             ++recorded_;

@@ -37,20 +37,24 @@
 namespace recap::learn
 {
 
-/** One answered membership word. */
-struct TeacherAnswer
+/**
+ * Answers to one batch of membership words, laid out like the batch:
+ * one output per symbol, one flag and one confidence per word.
+ */
+struct TeacherAnswers
 {
-    /** Hit/miss outcome of every position, in access order. */
-    std::vector<bool> outputs;
+    /** Per symbol, in input order: 1 for a hit, 0 for a miss. */
+    std::vector<uint8_t> outputs;
 
     /**
-     * False when any position failed to reach a vote quorum (the
-     * outputs are then untrustworthy and the learner must abstain).
+     * Per word: 0 when any of its positions failed to reach a vote
+     * quorum (its outputs are then untrustworthy and the learner must
+     * abstain), else 1.
      */
-    bool determined = true;
+    std::vector<uint8_t> determined;
 
-    /** Lowest per-position vote confidence behind the answer. */
-    double confidence = 1.0;
+    /** Per word: lowest per-position vote confidence behind it. */
+    std::vector<double> confidence;
 };
 
 /** Answers membership words; the learner's only window on the SUL. */
@@ -66,11 +70,14 @@ class Teacher
     virtual std::string describe() const = 0;
 
     /**
-     * Answers every word of @p words (each replayed from a flushed
-     * set), in input order.
+     * Answers every word of a batch, each replayed from a flushed set:
+     * word w is symbols[ends[w - 1], ends[w]) (from 0 for w = 0).
+     * Words are non-empty, so @p ends rises strictly and ends at
+     * symbols.size(). The teacher owns @p symbols, so it can free them
+     * once it no longer needs them.
      */
-    virtual std::vector<TeacherAnswer>
-    answer(const std::vector<Word>& words) = 0;
+    virtual TeacherAnswers answer(std::vector<Symbol> symbols,
+                                  std::span<const uint32_t> ends) = 0;
 
     /** Membership words asked so far. */
     virtual uint64_t wordsAsked() const = 0;
@@ -96,8 +103,8 @@ class OracleTeacher : public Teacher
 
     unsigned ways() const override;
     std::string describe() const override;
-    std::vector<TeacherAnswer>
-    answer(const std::vector<Word>& words) override;
+    TeacherAnswers answer(std::vector<Symbol> symbols,
+                          std::span<const uint32_t> ends) override;
     uint64_t wordsAsked() const override { return wordsAsked_; }
     uint64_t accessesUsed() const override { return accesses_; }
     uint64_t experimentsUsed() const override { return experiments_; }
@@ -144,9 +151,12 @@ class PrefixStore
         std::size_t conflictAt = 0;
     };
 
-    /** Records the per-prefix outcomes of one answered word. */
-    Recording record(const Word& word,
-                     const std::vector<bool>& outputs);
+    /**
+     * Records the per-prefix outcomes of one answered word: outputs[i]
+     * (1 for a hit) is the outcome of word[0 .. i].
+     */
+    Recording record(std::span<const Symbol> word,
+                     std::span<const uint8_t> outputs);
 
     /**
      * Looks up the recorded outcome of the last symbol of @p word;

@@ -36,11 +36,10 @@ compilePolicy(const ReplacementPolicy& proto,
     if (!states.packs())
         return nullptr;
 
-    // Bytes one state costs across the three tables, plus the keys.
-    const auto tableBytes = [&](uint64_t count, uint64_t keyBytes) {
+    // Bytes one state costs across the three tables and its pack.
+    const auto tableBytes = [&](uint64_t count) {
         return count * (uint64_t{2} * k * sizeof(uint32_t) +
-                         sizeof(uint16_t)) +
-               keyBytes;
+                        sizeof(uint16_t) + sizeof(PackedState));
     };
     // State numbers (plus one, in the index) must fit 32 bits.
     const uint64_t maxStates =
@@ -50,6 +49,7 @@ compilePolicy(const ReplacementPolicy& proto,
     auto table = std::make_shared<CompiledTable>();
     table->ways_ = k;
     table->policyName_ = proto.name();
+    table->source_ = proto.clone();
 
     // BFS over packed control states, touch edges before fill edges.
     // Packs are equal exactly when stateKeys are, so this is the exact
@@ -60,11 +60,8 @@ compilePolicy(const ReplacementPolicy& proto,
     states.intern();
     try {
         for (uint32_t at = 0; at < states.size(); ++at) {
-            // The key bytes join the byte budget once the keys exist
-            // (below). Both counts only grow, so the check against the
-            // final totals refuses exactly what an earlier check would.
             if (states.size() > maxStates ||
-                tableBytes(states.size(), 0) > budget.maxTableBytes)
+                tableBytes(states.size()) > budget.maxTableBytes)
                 return nullptr;
             const Way v = states.load(at).victim();
             ensure(v < k, "compilePolicy: victim out of range");
@@ -84,16 +81,19 @@ compilePolicy(const ReplacementPolicy& proto,
 
     const uint32_t n = states.size();
     table->numStates_ = n;
-    table->keys_.reserve(n);
-    uint64_t keyBytes = 0;
-    for (uint32_t id = 0; id < n; ++id) {
-        table->keys_.push_back(states.load(id).stateKey());
-        keyBytes += table->keys_.back().size();
-    }
-    table->budgetBytes_ = tableBytes(n, keyBytes);
-    if (table->budgetBytes_ > budget.maxTableBytes)
-        return nullptr;
+    table->budgetBytes_ = tableBytes(n);
+    table->packs_.reserve(n);
+    for (uint32_t id = 0; id < n; ++id)
+        table->packs_.push_back(states.pack(id));
     return table;
+}
+
+std::string
+CompiledTable::stateKey(uint32_t state) const
+{
+    const PolicyPtr policy = source_->clone();
+    policy->unpackState(packs_[state]);
+    return policy->stateKey();
 }
 
 CompiledTableView::CompiledTableView(CompiledTablePtr table)

@@ -23,8 +23,9 @@
  * state in structure-of-arrays form.
  *
  * The states are numbered by policy::PolicyStates (one scratch
- * policy, no per-edge clone or string); the stateKey() strings are
- * built once per state at the end.
+ * policy, no per-edge clone or string). A table keeps each state's
+ * 16-byte pack and a clone of the source policy, and builds a
+ * stateKey() string only when one is asked for.
  *
  * Policies that cannot pack (the stochastic "random" policy, whose
  * stream position is unbounded; the metadata consumers; any state
@@ -65,9 +66,9 @@ struct CompileBudget
     uint64_t maxStates = 1u << 17;
 
     /**
-     * Abort when the three tables plus the stateKey() strings would
-     * exceed this size. The enumeration stops early on the table
-     * bytes alone; the keys are counted once they are built.
+     * Abort when the three tables plus the 16-byte packs would exceed
+     * this size (8k + 18 bytes per state at k ways). The enumeration
+     * stops as soon as the states found so far pass it.
      */
     uint64_t maxTableBytes = uint64_t{96} << 20;
 };
@@ -101,11 +102,12 @@ class CompiledTable
 
     Way victim(uint32_t state) const { return victim_[state]; }
 
-    /** Interpreted stateKey() of @p state (bit-exact passthrough). */
-    const std::string& stateKey(uint32_t state) const
-    {
-        return keys_[state];
-    }
+    /**
+     * Interpreted stateKey() of @p state (bit-exact passthrough),
+     * built on a fresh clone of the source policy; safe to call from
+     * several threads at once.
+     */
+    std::string stateKey(uint32_t state) const;
 
     /** Raw table base pointers for the batch evaluator's inner loop. */
     const uint32_t* touchData() const { return touchNext_.data(); }
@@ -114,8 +116,9 @@ class CompiledTable
 
     /**
      * Bytes CompileBudget::maxTableBytes counts for this table: the
-     * three tables plus the stateKey() strings. A budget admits the
-     * table exactly when it admits numStates() states and these bytes.
+     * three tables plus the packs, numStates() * (8 * ways() + 18). A
+     * budget admits the table exactly when it admits numStates()
+     * states and these bytes.
      */
     uint64_t budgetBytes() const { return budgetBytes_; }
 
@@ -130,7 +133,8 @@ class CompiledTable
     std::vector<uint32_t> touchNext_;
     std::vector<uint32_t> fillNext_;
     std::vector<uint16_t> victim_;
-    std::vector<std::string> keys_;
+    std::vector<PackedState> packs_; ///< per state, for stateKey()
+    PolicyPtr source_;               ///< cloned and unpacked by stateKey()
 };
 
 /** Shared, immutable handle: one table serves any number of sets. */

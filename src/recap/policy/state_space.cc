@@ -113,12 +113,18 @@ PolicyStates::load(uint32_t id)
         return *policy_;
     }
     if (id != loaded_) {
-        const auto w = index_.record(id);
         loaded_ = id;
-        loadedPack_ = {w[0] | uint64_t{w[1]} << 32, w[2] | uint64_t{w[3]} << 32};
+        loadedPack_ = pack(id);
     }
     policy_->unpackState(loadedPack_);
     return *policy_;
+}
+
+PackedState
+PolicyStates::pack(uint32_t id) const
+{
+    const auto w = index_.record(id);
+    return {w[0] | uint64_t{w[1]} << 32, w[2] | uint64_t{w[3]} << 32};
 }
 
 uint32_t

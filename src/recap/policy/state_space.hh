@@ -103,6 +103,9 @@ class PolicyStates
     /** The id of policy()'s current state, numbering it when new. */
     uint32_t intern();
 
+    /** The pack of state @p id; requires packs(). */
+    PackedState pack(uint32_t id) const;
+
     uint32_t size() const { return index_.size(); }
 
   private:

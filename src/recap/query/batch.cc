@@ -391,7 +391,6 @@ MachineOracle::shareReplays(std::span<const BlockId> blocks,
     {
         std::size_t begin;  ///< first instance's first step
         std::size_t length;
-        std::size_t firstSequence;
         bool observed = false;
         uint64_t experiments = 0;
         uint64_t accesses = 0;
@@ -403,7 +402,7 @@ MachineOracle::shareReplays(std::span<const BlockId> blocks,
     trie.emplace_back();
     std::vector<uint32_t> uniqueAt; // per node: the segment ending there
     std::vector<uint32_t> nodeOfStep(blocks.size(), 0);
-    forEachSegment(flushes, ends, [&](std::size_t w, std::size_t begin,
+    forEachSegment(flushes, ends, [&](std::size_t, std::size_t begin,
                                       std::size_t end) {
         uint32_t node = 0;
         for (std::size_t i = begin; i < end; ++i) {
@@ -413,7 +412,7 @@ MachineOracle::shareReplays(std::span<const BlockId> blocks,
         uniqueAt.resize(trie.size(), kNone);
         if (uniqueAt[node] == kNone) {
             uniqueAt[node] = static_cast<uint32_t>(unique.size());
-            unique.push_back({begin, end - begin, w});
+            unique.push_back({begin, end - begin});
         }
     });
     const auto segment = [&](const Unique& u) {
@@ -461,11 +460,12 @@ MachineOracle::shareReplays(std::span<const BlockId> blocks,
         }
     }
 
-    // Each instance of a segment costs its first sequence what the
-    // observation cost. The naive estimate charges every instance
-    // that cost too; segments never observed are costed pro rata
-    // from the first observed one (the repeats and per-access routing
-    // overhead are batch-wide constants).
+    // A segment's first instance costs its sequence what the
+    // observation cost; later instances, in that sequence or another,
+    // are free. The naive estimate charges every instance that cost;
+    // segments never observed are costed pro rata from the first
+    // observed one (the repeats and per-access routing overhead are
+    // batch-wide constants).
     const auto ref = std::find_if(unique.begin(), unique.end(),
                                   [](const Unique& u) { return u.observed; });
     const uint64_t refAccesses = ref != unique.end() ? ref->accesses : 0;
@@ -483,7 +483,7 @@ MachineOracle::shareReplays(std::span<const BlockId> blocks,
         if (seg.observed) {
             estimatedNaiveCost += seg.accesses;
             estimatedNaiveExperiments += seg.experiments;
-            if (seg.firstSequence == w) {
+            if (seg.begin == begin) {
                 answers.experiments[w] += seg.experiments;
                 answers.accesses[w] += seg.accesses;
             }

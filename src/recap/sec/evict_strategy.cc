@@ -33,22 +33,33 @@ struct Preds
     }
 };
 
-/** Preds of @p n nodes from edges to[e] <- item[e]. */
+/**
+ * The preds of the graph whose node i has the out-edges
+ * next[first[i] .. first[i + 1]), edge e of node i listed as
+ * @p item(i, e). Within each list, items follow the order of i, then e.
+ */
+template <typename Item>
 Preds
-predsOf(uint32_t n, const std::vector<uint32_t>& to,
-        const std::vector<uint32_t>& item)
+predsOf(std::span<const uint32_t> first, std::span<const uint32_t> next,
+        Item item)
 {
+    const std::size_t n = first.size() - 1;
     Preds preds;
-    preds.start.assign(std::size_t{n} + 1, 0);
-    for (const uint32_t t : to)
+    preds.start.assign(n + 1, 0);
+    for (const uint32_t t : next)
         ++preds.start[t + 1];
-    for (uint32_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i)
         preds.start[i + 1] += preds.start[i];
-    std::vector<uint32_t> cursor(preds.start.begin(),
-                                 preds.start.end() - 1);
-    preds.items.resize(to.size());
-    for (std::size_t e = 0; e < to.size(); ++e)
-        preds.items[cursor[to[e]]++] = item[e];
+    // Fill each list through its start, which then reads the next
+    // list's start; shifting the starts back restores them.
+    preds.items.resize(next.size());
+    for (std::size_t i = 0; i < n; ++i)
+        for (uint32_t e = first[i]; e < first[i + 1]; ++e)
+            preds.items[preds.start[next[e]]++] =
+                item(static_cast<uint32_t>(i), e);
+    for (std::size_t i = n; i > 0; --i)
+        preds.start[i] = preds.start[i - 1];
+    preds.start[0] = 0;
     return preds;
 }
 
@@ -81,16 +92,18 @@ analyzePureMiss(const policy::CompiledTableView& view)
     for (uint32_t i = 0; i < n; ++i)
         a.indexOf[a.states[i]] = i;
 
-    // The miss-chain successor s -> fill(s, victim(s)), as indices.
+    // The miss-chain successor s -> fill(s, victim(s)), as indices:
+    // one edge per state.
     std::vector<uint32_t> succ(n);
-    std::vector<uint32_t> from(n);
+    std::vector<uint32_t> first(std::size_t{n} + 1);
     for (uint32_t i = 0; i < n; ++i) {
         const uint32_t s = a.states[i];
         succ[i] = a.indexOf[view.fillNext(s, view.victim(s))];
         ensure(succ[i] != kUnset, "analyzePureMiss: miss leaves the set");
-        from[i] = i;
+        first[i + 1] = i + 1;
     }
-    const Preds preds = predsOf(n, succ, from);
+    const Preds preds =
+        predsOf(first, succ, [](uint32_t i, uint32_t) { return i; });
 
     a.distByWay.assign(k, std::vector<uint32_t>(n, kUnset));
     std::vector<uint32_t> frontier;
@@ -158,67 +171,90 @@ buildInformedGraph(const policy::CompiledTableView& view,
     const unsigned k = view.ways();
     InformedGraph g;
 
-    // A config is the two halves of ((state*k + vw) << k) | mask.
-    policy::StateIndex index(2);
-    const auto intern = [&](uint32_t state, unsigned vw,
-                            uint32_t mask) -> uint32_t {
-        const uint64_t key = ((uint64_t{state} * k + vw) << k) | mask;
-        const uint32_t record[2] = {static_cast<uint32_t>(key),
-                                    static_cast<uint32_t>(key >> 32)};
-        const auto [id, fresh] = index.intern(record);
-        if (fresh)
-            g.lines.push_back(static_cast<uint8_t>(std::popcount(mask)));
-        return id;
-    };
+    // The out-edges of config i are next[first[i] .. first[i + 1]):
+    // touches of its lines[i] resident attacker lines, then the miss
+    // unless its victim is the target's way. Configs are bounded by
+    // the key space and by the budget, which the last explored config
+    // can pass by its k successors, and a config has at most k edges.
+    // Reserving that much, up to the default budget's worth, keeps
+    // the arrays from growing by copies; reserved pages cost no
+    // memory until they are written.
+    std::vector<uint32_t> first;
+    std::vector<uint32_t> next;
+    {
+        const uint64_t cap = std::min(maxConfigs, SecBudget{}.maxConfigs);
+        const uint64_t perMask = uint64_t{view.numStates()} * k;
+        const uint64_t bound =
+            (perMask <= (cap >> k) ? perMask << k : cap) + k;
+        first.reserve(bound + 1);
+        g.lines.reserve(bound);
+        next.reserve(bound * k);
 
-    // Seeds: every reachable full-set state with the victim in every
-    // way and no attacker line resident yet — the conservative "the
-    // attacker starts cold against an arbitrary warm set" opening.
-    for (const uint32_t s : fullStates)
-        for (unsigned vw = 0; vw < k; ++vw)
-            intern(s, vw, 0);
-    g.numInitial = index.size();
-    if (g.numInitial > maxConfigs) {
-        g.overBudget = true;
-        return g;
-    }
+        // A config is the two halves of ((state*k + vw) << k) | mask.
+        policy::StateIndex index(2);
+        const auto intern = [&](uint32_t state, unsigned vw,
+                                uint32_t mask) -> uint32_t {
+            const uint64_t key = ((uint64_t{state} * k + vw) << k) | mask;
+            const uint32_t record[2] = {static_cast<uint32_t>(key),
+                                        static_cast<uint32_t>(key >> 32)};
+            const auto [id, fresh] = index.intern(record);
+            if (fresh)
+                g.lines.push_back(
+                    static_cast<uint8_t>(std::popcount(mask)));
+            return id;
+        };
 
-    std::vector<uint32_t> edgeTo;
-    std::vector<uint32_t> edgeFrom;
-    const auto edge = [&](uint32_t to, uint32_t from) {
-        edgeTo.push_back(to);
-        edgeFrom.push_back(from);
-    };
-    for (uint32_t at = 0; at < index.size(); ++at) {
-        if (index.size() > maxConfigs) {
+        // Seeds: every reachable full-set state with the victim in
+        // every way and no attacker line resident yet — the
+        // conservative "the attacker starts cold against an arbitrary
+        // warm set" opening.
+        for (const uint32_t s : fullStates)
+            for (unsigned vw = 0; vw < k; ++vw)
+                intern(s, vw, 0);
+        g.numInitial = index.size();
+        if (g.numInitial > maxConfigs) {
             g.overBudget = true;
             return g;
         }
-        ++g.configsExplored;
-        const auto record = index.record(at);
-        const uint64_t key = record[0] | uint64_t{record[1]} << 32;
-        const auto mask = static_cast<uint32_t>(key & ((1u << k) - 1));
-        const auto packed = key >> k;
-        const auto state = static_cast<uint32_t>(packed / k);
-        const auto vw = static_cast<unsigned>(packed % k);
 
-        // Touch any resident attacker line.
-        for (unsigned w = 0; w < k; ++w) {
-            if (!(mask & (1u << w)))
-                continue;
-            edge(intern(view.touchNext(state, w), vw, mask), at << 1);
+        for (uint32_t at = 0; at < index.size(); ++at) {
+            if (index.size() > maxConfigs) {
+                g.overBudget = true;
+                return g;
+            }
+            ++g.configsExplored;
+            ensure(next.size() < kUnset,
+                   "evictStrategy: 2^32 - 1 edges or more");
+            first.push_back(static_cast<uint32_t>(next.size()));
+            const auto record = index.record(at);
+            const uint64_t key = record[0] | uint64_t{record[1]} << 32;
+            const auto mask = static_cast<uint32_t>(key & ((1u << k) - 1));
+            const auto packed = key >> k;
+            const auto state = static_cast<uint32_t>(packed / k);
+            const auto vw = static_cast<unsigned>(packed % k);
+
+            // Touch any resident attacker line.
+            for (unsigned w = 0; w < k; ++w) {
+                if (!(mask & (1u << w)))
+                    continue;
+                next.push_back(intern(view.touchNext(state, w), vw, mask));
+            }
+            // Miss with a non-resident line (pool permitting — the cap
+            // is applied during the distance pass, not here).
+            const unsigned v = view.victim(state);
+            if (v == vw)
+                g.goalPreds.push_back(at);
+            else
+                next.push_back(intern(view.fillNext(state, v), vw,
+                                      mask | (1u << v)));
         }
-        // Miss with a non-resident line (pool permitting — the cap
-        // is applied during the distance pass, not here).
-        const unsigned v = view.victim(state);
-        if (v == vw) {
-            g.goalPreds.push_back(at);
-        } else {
-            edge(intern(view.fillNext(state, v), vw, mask | (1u << v)),
-                 (at << 1) | 1u);
-        }
-    }
-    g.preds = predsOf(index.size(), edgeTo, edgeFrom);
+        first.push_back(static_cast<uint32_t>(next.size()));
+    } // the index goes before the predecessors are built
+
+    // An edge past the config's touches is its miss.
+    g.preds = predsOf(first, next, [&](uint32_t i, uint32_t e) {
+        return i << 1 | (e - first[i] == g.lines[i] ? 1u : 0u);
+    });
     return g;
 }
 

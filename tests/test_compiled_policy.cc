@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "recap/common/rng.hh"
 #include "recap/policy/compiled.hh"
@@ -241,6 +243,9 @@ TEST(CompiledFallback, MemoAnswersEveryBudgetAsCompilePolicy)
     ASSERT_NE(reference, nullptr);
     const uint32_t n = reference->numStates();
     const uint64_t bytes = reference->budgetBytes();
+    // Two 4-byte successors per way, a 2-byte victim and a 16-byte
+    // pack per state.
+    EXPECT_EQ(bytes, uint64_t{n} * (8 * 4 + 18));
     CompileBudget below;
     below.maxStates = n - 1;
     CompileBudget exact;
@@ -260,6 +265,58 @@ TEST(CompiledFallback, MemoAnswersEveryBudgetAsCompilePolicy)
                   compilePolicy(*makePolicy(spec, 4), budget) != nullptr)
             << budget.maxStates << " states, " << budget.maxTableBytes
             << " bytes";
+}
+
+/**
+ * CompiledPolicy::stateKey() builds each key on demand from the
+ * table's packs; instances sharing one table read keys from several
+ * threads at once and agree with a serial read and with the
+ * interpreted policy.
+ */
+TEST(CompiledStateKey, ConcurrentReadsMatchSerial)
+{
+    const std::string spec = "srrip";
+    const CompiledTablePtr table = compiledTableFor(spec, 4);
+    ASSERT_NE(table, nullptr);
+    const uint32_t n = table->numStates();
+    std::vector<std::string> serial(n);
+    for (uint32_t s = 0; s < n; ++s)
+        serial[s] = table->stateKey(s);
+
+    // The interpreted policy walked in lockstep reads the same keys.
+    CompiledPolicy compiled(table);
+    const PolicyPtr interpreted = makePolicy(spec, 4);
+    Rng rng(11);
+    for (unsigned i = 0; i < 2000; ++i) {
+        const Way way = static_cast<Way>(rng.nextBelow(4));
+        if (rng.nextBool(0.5)) {
+            compiled.touch(way);
+            interpreted->touch(way);
+        } else {
+            compiled.fill(way);
+            interpreted->fill(way);
+        }
+        ASSERT_EQ(serial[compiled.stateIndex()], interpreted->stateKey());
+    }
+
+    constexpr unsigned kThreads = 4;
+    std::vector<unsigned> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            CompiledPolicy policy(table);
+            for (uint32_t round = 0; round < 4; ++round) {
+                for (uint32_t s = t; s < n; s += 1 + round) {
+                    policy.unpackState(PackedState{s, 0});
+                    mismatches[t] += policy.stateKey() != serial[s];
+                }
+            }
+        });
+    }
+    for (std::thread& thread : threads)
+        thread.join();
+    for (unsigned t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 /** Unknown specs and unsupported associativities never compile. */

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "recap/common/rng.hh"
 #include "recap/learn/learned_policy.hh"
 #include "recap/learn/lstar.hh"
@@ -27,7 +32,7 @@ using learn::LearnResult;
 using learn::LStarLearner;
 using learn::MealyMachine;
 using learn::SymbolSemantics;
-using learn::TeacherAnswer;
+using learn::TeacherAnswers;
 using learn::Word;
 
 MealyMachine
@@ -237,12 +242,11 @@ class UndeterminedTeacher : public learn::Teacher
 
     unsigned ways() const override { return inner_.ways(); }
     std::string describe() const override { return "undetermined"; }
-    std::vector<TeacherAnswer>
-    answer(const std::vector<Word>& words) override
+    TeacherAnswers answer(std::vector<learn::Symbol> symbols,
+                          std::span<const uint32_t> ends) override
     {
-        auto answers = inner_.answer(words);
-        for (auto& a : answers)
-            a.determined = false;
+        auto answers = inner_.answer(std::move(symbols), ends);
+        std::fill(answers.determined.begin(), answers.determined.end(), 0);
         return answers;
     }
     uint64_t wordsAsked() const override
@@ -283,12 +287,12 @@ class LowConfidenceTeacher : public learn::Teacher
 
     unsigned ways() const override { return inner_.ways(); }
     std::string describe() const override { return "low-confidence"; }
-    std::vector<TeacherAnswer>
-    answer(const std::vector<Word>& words) override
+    TeacherAnswers answer(std::vector<learn::Symbol> symbols,
+                          std::span<const uint32_t> ends) override
     {
-        auto answers = inner_.answer(words);
-        for (auto& a : answers)
-            a.confidence = confidence_;
+        auto answers = inner_.answer(std::move(symbols), ends);
+        std::fill(answers.confidence.begin(), answers.confidence.end(),
+                  confidence_);
         return answers;
     }
     uint64_t wordsAsked() const override
@@ -344,13 +348,13 @@ class GarbledTeacher : public learn::Teacher
 
     unsigned ways() const override { return inner_.ways(); }
     std::string describe() const override { return "garbled"; }
-    std::vector<TeacherAnswer>
-    answer(const std::vector<Word>& words) override
+    TeacherAnswers answer(std::vector<learn::Symbol> symbols,
+                          std::span<const uint32_t> ends) override
     {
-        auto answers = inner_.answer(words);
-        for (auto& a : answers) {
-            if (++counter_ % period_ == 0 && !a.outputs.empty())
-                a.outputs.back() = !a.outputs.back();
+        auto answers = inner_.answer(std::move(symbols), ends);
+        for (const uint32_t end : ends) {
+            if (++counter_ % period_ == 0)
+                answers.outputs[end - 1] ^= 1;
         }
         return answers;
     }

@@ -26,6 +26,13 @@ using learn::MealyMachine;
 using learn::ObservationTable;
 using learn::Word;
 
+/** One output byte per position (1 for a hit), as PrefixStore reads. */
+std::vector<uint8_t>
+bytesOf(const std::vector<bool>& outputs)
+{
+    return {outputs.begin(), outputs.end()};
+}
+
 /** s0 --0/miss--> s1, s0 --1/miss--> s0, s1 --0/hit--> s1,
  *  s1 --1/miss--> s0 (distinguishable by single-symbol suffixes). */
 MealyMachine
@@ -48,7 +55,8 @@ fillFrom(ObservationTable& table, const MealyMachine& machine)
         if (missing.empty())
             break;
         for (const Word& w : missing) {
-            const auto rec = table.store().record(w, machine.run(w));
+            const auto rec =
+                table.store().record(w, bytesOf(machine.run(w)));
             ASSERT_TRUE(rec.consistent);
         }
     }
@@ -237,7 +245,7 @@ TEST(ObservationTable, StoreMatchesMapReferenceOnRandomWords)
                 const auto at = rng.nextBelow(word.size());
                 outputs[at] = !outputs[at];
             }
-            const auto got = tree.record(word, outputs);
+            const auto got = tree.record(word, bytesOf(outputs));
             const auto want = map.record(word, outputs);
             ASSERT_EQ(got.consistent, want.consistent) << alphabet;
             ASSERT_EQ(got.conflictAt, want.conflictAt) << alphabet;
@@ -291,7 +299,8 @@ TEST(ObservationTable, StoreOfCleanAnswersHasNoMismatch)
         std::vector<Word> words;
         for (unsigned n = 0; n < 500; ++n) {
             words.push_back(randomWord(rng, alphabet, words));
-            ASSERT_TRUE(tree.record(words.back(), truth.run(words.back()))
+            ASSERT_TRUE(tree.record(words.back(),
+                                    bytesOf(truth.run(words.back())))
                             .consistent);
             map.record(words.back(), truth.run(words.back()));
         }

@@ -362,21 +362,21 @@ TEST(QueryPins, MachineOracleAcrossModesNoiseAndVotes)
     constexpr auto kCounter = ObservationMode::kCounter;
     constexpr auto kLatency = ObservationMode::kLatency;
     const Cell cells[] = {
-        {kCounter, false, false, {0x1307194306110205ull, 15861, 129},
+        {kCounter, false, false, {0x270376c4d75f9481ull, 15861, 129},
          {0xb17d0f1c7c4e1102ull, 19533, 192}},
-        {kCounter, false, true, {0x455b1d3b1c33e5d0ull, 21148, 172},
+        {kCounter, false, true, {0x0d2d4e7a35913a21ull, 21148, 172},
          {0x7a5f1a81e167fcb1ull, 26044, 256}},
-        {kCounter, true, false, {0x33a685afb9dda7eaull, 15933, 129},
+        {kCounter, true, false, {0x77831fb4dedf1e2aull, 15933, 129},
          {0x6df3d3e5b15646fbull, 19646, 192}},
-        {kCounter, true, true, {0xa7534f87d2dc8dcdull, 21696, 175},
+        {kCounter, true, true, {0xd02e8ebe16316528ull, 21696, 175},
          {0x7f0bd64eb901da8aull, 26383, 259}},
-        {kLatency, false, false, {0x1307194306110205ull, 15861, 129},
+        {kLatency, false, false, {0x270376c4d75f9481ull, 15861, 129},
          {0xb17d0f1c7c4e1102ull, 19533, 192}},
-        {kLatency, false, true, {0x455b1d3b1c33e5d0ull, 21148, 172},
+        {kLatency, false, true, {0x0d2d4e7a35913a21ull, 21148, 172},
          {0x7a5f1a81e167fcb1ull, 26044, 256}},
-        {kLatency, true, false, {0x5d1ed384218385caull, 15908, 129},
+        {kLatency, true, false, {0xf3f749d07ecf62f1ull, 15908, 129},
          {0xbd4c3fcea464fc10ull, 19588, 192}},
-        {kLatency, true, true, {0x651d853a1913ae85ull, 21798, 175},
+        {kLatency, true, true, {0x28930e52ba2a97b2ull, 21798, 175},
          {0x06107046c8055b27ull, 26762, 260}},
     };
     for (const Cell& cell : cells) {
@@ -392,6 +392,28 @@ TEST(QueryPins, MachineOracleAcrossModesNoiseAndVotes)
                           (sharing ? " shared" : " naive"));
         }
     }
+}
+
+TEST(QueryPins, MachineReplaySharingBillsEachSegmentOnce)
+{
+    // The query repeats one flush-free segment: one experiment
+    // observes both instances, and the query pays for that one.
+    const auto spec =
+        hw::reducedSpec(hw::catalogMachine("core2-e6300"), 512);
+    hw::Machine machine(spec, /*seed=*/11);
+    MeasurementContext ctx(machine);
+    MachineOracle oracle(ctx, infer::assumedGeometry(spec), 1);
+    BatchStats stats;
+    const auto verdicts = oracle.evaluateBatch(
+        {query::compile(query::parseQuery("a b c? @ a b c?"))},
+        options(true, 1), &stats);
+    ASSERT_EQ(verdicts.size(), 1u);
+    EXPECT_EQ(oracle.accessesIssued(), 51u);
+    EXPECT_EQ(oracle.experimentsRun(), 1u);
+    EXPECT_EQ(verdicts[0].accesses, 51u);
+    EXPECT_EQ(verdicts[0].experiments, 1u);
+    EXPECT_EQ(stats.sharedCost, 51u);
+    EXPECT_EQ(stats.experimentsRun, 1u);
 }
 
 TEST(QueryPins, FlakyOracleFailsOncePerApiCall)
